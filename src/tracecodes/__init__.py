@@ -1,7 +1,7 @@
 """Few-weight binary linear codes from trace conditions over GF(2^m).
 
 Exact construction of three code families from their defining sets, weight
-distributions by full enumeration, closed-form conformance checks, dual and
+distributions by one transform, closed-form conformance checks, dual and
 minimality verdicts, and s-fold XOR sum-set tests for derived point sets.
 """
 
@@ -33,7 +33,6 @@ from .codes import (
     FAMILIES,
     BinaryLinearCode,
     DefiningSet,
-    TooLargeError,
     codeword,
     enumerate_defining_set,
     generator_matrix,
@@ -51,9 +50,9 @@ from .sumsets import (
     representation_counts_by_convolution,
     representation_counts_naive,
     symmetric_three_weight,
-    walsh_hadamard,
     xor_convolve,
 )
+from .walsh import TooLargeError, walsh_hadamard
 
 __all__ = [
     "BinaryLinearCode",

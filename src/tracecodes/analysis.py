@@ -13,14 +13,15 @@ from typing import NamedTuple, Sequence
 
 from .codes import (
     BinaryLinearCode,
-    TooLargeError,
     WeightDistribution,
+    column_counts,
     enumerate_defining_set,
     generator_matrix,
     minimum_distance,
     weight_distribution,
 )
 from .field import GF2m
+from .walsh import TooLargeError, walsh_hadamard
 
 BRUTE_MINIMAL_MAX_DIM = 14
 VERIFY_BRUTE_DIM = 12
@@ -94,31 +95,16 @@ def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
     return BinaryLinearCode(n=code.n, k=len(rows), rows=tuple(rows), provenance=None)
 
 
-def generator_columns(code: BinaryLinearCode) -> list[int]:
-    """Column j of the generator matrix as a k-bit int (bit i from row i)."""
-    cols = []
-    for j in range(code.n):
-        v = 0
-        for i, row in enumerate(code.rows):
-            v |= ((row >> j) & 1) << i
-        cols.append(v)
-    return cols
-
-
 def is_projective(code: BinaryLinearCode) -> bool:
-    """True iff generator columns are nonzero and pairwise distinct.
+    """True iff generator columns are nonzero and pairwise distinct: N[0] = 0, all N[c] <= 1.
 
-    Requires full row rank; columns of a rank-deficient matrix do not
-    determine the dual distance, so that case is an error.
+    Requires full row rank, i.e. N^(u) = n (a zero codeword) at u = 0 only;
+    columns of a rank-deficient matrix do not determine the dual distance.
     """
-    if matrix_rank(code.rows, code.n) < code.k:
+    counts = column_counts(code)
+    if walsh_hadamard(counts).count(code.n) > 1:
         raise ValueError(f"generator matrix is rank deficient (k={code.k})")
-    seen = set()
-    for c in generator_columns(code):
-        if c == 0 or c in seen:
-            return False
-        seen.add(c)
-    return True
+    return counts[0] == 0 and max(counts) <= 1
 
 
 def griesmer_length(k: int, d: int, q: int = 2) -> int:
@@ -242,7 +228,7 @@ class VerificationReport:
         }
 
 
-def verify(family: int, m: int, jobs: int = 1, poly: int = 0) -> VerificationReport:
+def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     """Build the family's code and check every claimed property exactly.
 
     ok means: weight distribution matches the applicable closed form, the
@@ -258,7 +244,7 @@ def verify(family: int, m: int, jobs: int = 1, poly: int = 0) -> VerificationRep
     ctx = GF2m(m, poly)
     dset = enumerate_defining_set(ctx, family)
     code = generator_matrix(ctx, dset)
-    wd = weight_distribution(code, jobs=jobs)
+    wd = weight_distribution(code)
     d = minimum_distance(wd)
     notes: list[str] = []
 

@@ -1,19 +1,21 @@
-"""Brute-force character sums over GF(2^m) and their closed forms.
+"""Character sums over GF(2^m), by transform and by brute force, and their closed forms.
 
 Every sum here is an exact integer: summands are (-1)^t with t a trace bit.
-The brute-force evaluators are plain double loops over (x, y) with x
-nonzero; they are the ground truth the closed-form case tables are judged
-against.  Closed forms with a genuinely undetermined sign return both
-candidates, and conformance means membership.
+The conformance sweep reads every (a, b) from one Walsh-Hadamard transform
+per sum; the plain double loops over (x, y) with x nonzero are kept as the
+oracles the tests pin those tables to.  Closed forms with a genuinely
+undetermined sign return both candidates, and conformance means membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple
 
-from .field import FieldElement, GF2m, mul_table, trace_table
+from .codes import membership_element
+from .field import FieldElement, GF2m, mul_table, trace_coordinates, trace_table
+from .walsh import walsh_hadamard, zero_vector
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,24 @@ def trace_pair_count(ctx: GF2m, subset: Iterable[FieldElement], bit: int) -> int
     tr = trace_table(ctx)
     mt = mul_table(ctx)
     return sum(1 for e in members for b in ctx.units() if tr[mt[e][b]] == bit)
+
+
+def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
+    """S(a, b) at index a | b << m for every (a, b); family None is the plain sum.
+
+    Tr(a*z) = popcount(a & coords[z]) mod 2, so the table is the transform
+    of the signed counts of coords[x*y] | coords[x] << m over (x, y), x != 0.
+    """
+    tr = trace_table(ctx)
+    mt = mul_table(ctx)
+    coords = trace_coordinates(ctx)
+    counts = zero_vector(2 * ctx.m)
+    for x in ctx.units():
+        row_x, high = mt[x], coords[x] << ctx.m
+        for y in ctx.elements():
+            sign = 1 if family is None else 1 - 2 * tr[membership_element(ctx, family, x, y)]
+            counts[coords[row_x[y]] | high] += sign
+    return walsh_hadamard(counts)
 
 
 def plain_char_sum(ctx: GF2m, a: FieldElement, b: FieldElement) -> int:
@@ -187,27 +207,21 @@ def conformance_sweep(ctx: GF2m) -> Iterator[SweepRecord]:
     """Audit every (a, b) != (0, 0) for the plain sum and each in-scope family sum.
 
     The family-2 closed form is only defined for odd m and is skipped for
-    even m; the other three sums cover every m.
+    even m; the other three sums cover every m.  Records come in (a, b)
+    order, the plain sum first, then the families in order.
     """
     families = (1, 2, 3) if ctx.m % 2 == 1 else (1, 3)
+    sums = [("plain", char_sum_table(ctx), plain_char_sum_closed)] + [
+        (f"family{f}", char_sum_table(ctx, f), partial(family_char_sum_closed, family=f))
+        for f in families
+    ]
     for a in ctx.elements():
         for b in ctx.elements():
             if a == 0 and b == 0:
                 continue
-            observed = plain_char_sum(ctx, a, b)
-            closed = plain_char_sum_closed(ctx, a, b)
-            yield SweepRecord(
-                "plain", a, b, observed, closed.case, closed.candidates, closed.matches(observed)
-            )
-            for family in families:
-                observed = family_char_sum(ctx, family, a, b)
-                closed = family_char_sum_closed(ctx, family, a, b)
+            for name, table, closed_form in sums:
+                observed = table[a | b << ctx.m]
+                closed = closed_form(ctx, a=a, b=b)
                 yield SweepRecord(
-                    f"family{family}",
-                    a,
-                    b,
-                    observed,
-                    closed.case,
-                    closed.candidates,
-                    closed.matches(observed),
+                    name, a, b, observed, closed.case, closed.candidates, closed.matches(observed)
                 )

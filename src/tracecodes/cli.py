@@ -12,22 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .analysis import VerificationReport, verify
 from .charsums import conformance_sweep
-from .codes import (
-    TooLargeError,
-    WeightDistribution,
-    enumerate_defining_set,
-    generator_matrix,
-    matrix_text,
-)
+from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
 from .field import GF2m
 from .sumsets import VARIANTS, build_omega, check_sum_set
+from .walsh import TooLargeError
 
 
 EXHAUSTIVE_LABELS = {True: "yes", False: "no", None: "skipped"}
@@ -104,7 +98,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(args.family, args.m, jobs=args.jobs)
+    report = verify(args.family, args.m)
     if args.format == "json":
         _emit(args, canonical_json(report.to_json_dict()))
     else:
@@ -202,7 +196,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     informational: list[VerificationReport] = []
     for family in (1, 2, 3):
         for m in range(2, args.max_m + 1):
-            report = verify(family, m, jobs=args.jobs)
+            report = verify(family, m)
             if family == 2 and m % 2 == 0:
                 informational.append(report)
             else:
@@ -265,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check every claimed property of one code")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
     p.add_argument("--m", type=int, choices=tuple(range(2, 9)), required=True)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     add_common(p)
     p.set_defaults(func=_cmd_verify)
 
@@ -290,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="verify all families across a range of field degrees")
     p.add_argument("--max-m", type=int, choices=tuple(range(2, 8)), default=6)
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     add_common(p)
     p.set_defaults(func=_cmd_sweep)
 

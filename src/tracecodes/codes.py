@@ -9,31 +9,22 @@ selected by a trace condition:
 
 The code itself evaluates trace(a*x*y + b*x) over the selected pairs, one
 coordinate per pair, as (a, b) ranges over the full 2m-dimensional message
-space.  Codewords are packed ints (bit i = coordinate of pair i) and weight
-counting is population count over the full 2^k row span.
+space.  Codewords are packed ints (bit i = coordinate of pair i); weights
+come from the Walsh spectrum of the counts of the generator columns.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .field import FieldElement, GF2m, mul_table, trace_table
+from .walsh import TooLargeError, walsh_hadamard, zero_vector  # TooLargeError re-exported
 
 FAMILIES = (1, 2, 3)
 
 # A weight distribution is the exact multiset map weight -> codeword count.
 WeightDistribution = dict[int, int]
-
-ENUMERATION_MAX_DIM = 24
-# Below this many codewords a parallel executor costs more than it saves;
-# the partition/merge structure is identical either way.
-_PARALLEL_MIN_DIM = 14
-
-
-class TooLargeError(Exception):
-    """Raised when an exact enumeration would exceed the desk-scale guard."""
 
 
 @dataclass(frozen=True)
@@ -118,47 +109,40 @@ def generator_matrix(ctx: GF2m, dset: DefiningSet) -> BinaryLinearCode:
     )
 
 
-def _histogram_range(rows: tuple[int, ...], start: int, stop: int) -> Counter:
-    """Weight histogram of codewords with Gray-code index in [start, stop)."""
-    hist: Counter = Counter()
-    word = 0
-    g = start ^ (start >> 1)
-    for j, row in enumerate(rows):
-        if (g >> j) & 1:
-            word ^= row
-    hist[word.bit_count()] += 1
-    for i in range(start + 1, stop):
-        # gray(i) differs from gray(i-1) in exactly bit tz(i)
-        word ^= rows[(i & -i).bit_length() - 1]
-        hist[word.bit_count()] += 1
-    return hist
+def generator_columns(code: BinaryLinearCode) -> list[int]:
+    """Column j of the generator matrix as a k-bit int (bit i from row i).
 
-
-def weight_distribution(code: BinaryLinearCode, jobs: int = 1) -> WeightDistribution:
-    """Exact counts from enumerating all 2^k row combinations.
-
-    The index space is partitioned into ``jobs`` contiguous blocks whose
-    histograms merge by pointwise addition, so the result is independent of
-    the partitioning; a process pool is engaged only when the span is large
-    enough for it to pay off.
+    Zipping the rows' binary strings, last row first, reads each column as a
+    k-bit string, highest column first.
     """
-    if code.k > ENUMERATION_MAX_DIM:
-        raise TooLargeError(f"dimension {code.k} exceeds enumeration guard {ENUMERATION_MAX_DIM}")
-    total = 1 << code.k
-    jobs = max(1, min(jobs, total))
-    bounds = [total * i // jobs for i in range(jobs + 1)]
-    blocks = [(bounds[i], bounds[i + 1]) for i in range(jobs) if bounds[i] < bounds[i + 1]]
-    if len(blocks) > 1 and code.k >= _PARALLEL_MIN_DIM:
-        starts, stops = zip(*blocks)
-        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(pool.map(_histogram_range, [code.rows] * len(blocks), starts, stops))
-    else:
-        parts = [_histogram_range(code.rows, lo, hi) for lo, hi in blocks]
-    hist: Counter = Counter()
-    for part in parts:
-        hist += part
-    assert sum(hist.values()) == total
-    return dict(sorted(hist.items()))
+    if not code.rows or not code.n:
+        return [0] * code.n
+    strings = [format(row, f"0{code.n}b") for row in reversed(code.rows)]
+    return [int("".join(bits), 2) for bits in zip(*strings)][::-1]
+
+
+def column_counts(code: BinaryLinearCode) -> list[int]:
+    """N[c] = number of generator columns equal to c, for every c in F_2^k."""
+    counts = zero_vector(code.k)
+    for c in generator_columns(code):
+        counts[c] += 1
+    return counts
+
+
+def weight_distribution(code: BinaryLinearCode) -> WeightDistribution:
+    """Exact counts over all 2^k messages, wt(u) = (n - N^(u)) / 2.
+
+    Codewords that a rank-deficient matrix repeats count once per message.
+    """
+    wd: WeightDistribution = {}
+    for value, count in Counter(walsh_hadamard(column_counts(code))).items():
+        weight, odd = divmod(code.n - value, 2)
+        if odd:
+            raise AssertionError(f"spectrum value {value} has the wrong parity for n = {code.n}")
+        wd[weight] = count
+    if sum(wd.values()) != 1 << code.k:
+        raise AssertionError(f"weight counts do not sum to 2^{code.k}")
+    return dict(sorted(wd.items()))
 
 
 def minimum_distance(wd: WeightDistribution) -> int:

@@ -14,11 +14,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .codes import TooLargeError, WeightDistribution, enumerate_defining_set
+from .codes import WeightDistribution, enumerate_defining_set
 from .field import GF2m, mul_table, trace_coordinates
+from .walsh import TRANSFORM_MAX_DIM, TooLargeError, walsh_hadamard, zero_vector
 
 VARIANTS = ("paper-column", "code-column")
-AMBIENT_MAX_DIM = 20
+POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class OmegaSet:
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if self.ambient_dim > AMBIENT_MAX_DIM:
-            raise TooLargeError(f"ambient dimension {self.ambient_dim} exceeds cap {AMBIENT_MAX_DIM}")
+        if self.ambient_dim > TRANSFORM_MAX_DIM:
+            raise TooLargeError(f"ambient dimension {self.ambient_dim} exceeds transform guard {TRANSFORM_MAX_DIM}")
         top = 1 << self.ambient_dim
         for v in self.vectors:
             if not 0 < v < top:
@@ -101,45 +102,30 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     )
 
 
-def walsh_hadamard(values: Sequence[int]) -> list[int]:
-    """In-place-style WHT butterfly; length must be a power of two.
-
-    Self-inverse up to division by the length.
-    """
-    n = len(values)
-    if n == 0 or n & (n - 1):
-        raise ValueError("length must be a power of two")
-    out = list(values)
-    half = 1
-    while half < n:
-        for base in range(0, n, 2 * half):
-            for i in range(base, base + half):
-                x, y = out[i], out[i + half]
-                out[i], out[i + half] = x + y, x - y
-        half *= 2
-    return out
+def _indicator(omega: OmegaSet) -> list[int]:
+    """0/1 membership vector over F_2^K."""
+    vec = zero_vector(omega.ambient_dim)
+    for v in omega.vectors:
+        vec[v] = 1
+    if omega.include_zero:
+        vec[0] = 1
+    return vec
 
 
 def representation_counts(omega: OmegaSet, s: int) -> list[int]:
     """Exact s-fold XOR representation counts for every h, by transform."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    size = 1 << omega.ambient_dim
-    indicator = [0] * size
-    for v in omega.vectors:
-        indicator[v] = 1
-    if omega.include_zero:
-        indicator[0] = 1
-    spectrum = walsh_hadamard(indicator)
-    powered = [t**s for t in spectrum]
-    back = walsh_hadamard(powered)
-    counts = []
-    for g in back:
-        div, rem = divmod(g, size)
-        if rem:
-            raise AssertionError("inverse transform did not divide evenly")
-        counts.append(div)
-    return counts
+    cost = (1 << omega.ambient_dim) * s * omega.size.bit_length()  # each |t^s| <= size^s
+    if cost > POWER_MAX_BITS:
+        raise TooLargeError(
+            f"s = {s} over {omega.size} points in dimension {omega.ambient_dim}: powered spectrum"
+            f" estimated at {cost} bits (2^K * s * bit_length(size)), guard {POWER_MAX_BITS}"
+        )
+    back = walsh_hadamard([t**s for t in walsh_hadamard(_indicator(omega))])
+    if any(g & ((1 << omega.ambient_dim) - 1) for g in back):
+        raise AssertionError("inverse transform did not divide evenly")
+    return [g >> omega.ambient_dim for g in back]
 
 
 def representation_counts_naive(omega: OmegaSet, s: int) -> list[int]:
@@ -178,14 +164,9 @@ def representation_counts_by_convolution(omega: OmegaSet, s: int) -> list[int]:
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    indicator = [0] * (1 << omega.ambient_dim)
-    for v in omega.vectors:
-        indicator[v] = 1
-    if omega.include_zero:
-        indicator[0] = 1
-    counts = indicator
+    counts = ind = _indicator(omega)
     for _ in range(s - 1):
-        counts = xor_convolve(counts, indicator)
+        counts = xor_convolve(counts, ind)
     return counts
 
 

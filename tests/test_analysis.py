@@ -10,7 +10,6 @@ from tracecodes.analysis import (
     brute_minimal,
     closed_form_distribution,
     dual_code,
-    generator_columns,
     griesmer_classify,
     griesmer_length,
     is_projective,
@@ -23,6 +22,7 @@ from tracecodes.codes import (
     BinaryLinearCode,
     TooLargeError,
     enumerate_defining_set,
+    generator_columns,
     generator_matrix,
     minimum_distance,
     weight_distribution,
@@ -225,10 +225,6 @@ def test_verify_family2_even_m_compares_against_family1():
     assert report.table_match
     assert report.ok
     assert any("family-1 table" in note for note in report.notes)
-
-
-def test_verify_jobs_invariance():
-    assert verify(1, 4, jobs=1) == verify(1, 4, jobs=8)
 
 
 def test_verify_report_json_shape():

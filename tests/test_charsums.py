@@ -6,6 +6,7 @@ import pytest
 
 from tracecodes.charsums import (
     CharSumValue,
+    char_sum_table,
     coefficient_sets,
     conformance_sweep,
     family_char_sum,
@@ -172,6 +173,36 @@ def test_family_char_sum_rejects_bad_family():
         family_char_sum(GF2m(2), 0, 1, 1)
     with pytest.raises(ValueError):
         family_char_sum_closed(GF2m(2), 9, 1, 1)
+
+
+# the default polynomial (0), then the largest irreducible one of each
+# degree; x^2 + x + 1 is the only one of degree 2
+POLYS = {2: (0,), 3: (0, 0b1101), 4: (0, 0b11111), 5: (0, 0b111101)}
+
+
+def test_transform_tables_match_brute_force_sums():
+    for m, polys in POLYS.items():
+        for poly in polys:
+            ctx = GF2m(m, poly)
+            tables = {family: char_sum_table(ctx, family) for family in (None, 1, 2, 3)}
+            for a in ctx.elements():
+                for b in ctx.elements():
+                    index = a | b << m
+                    assert tables[None][index] == plain_char_sum(ctx, a, b), (m, poly, a, b)
+                    for family in (1, 2, 3):
+                        want = family_char_sum(ctx, family, a, b)
+                        assert tables[family][index] == want, (m, poly, family, a, b)
+
+
+def test_conformance_sweep_reads_the_tables():
+    ctx = GF2m(3, 0b1101)
+    tables = {f"family{f}": char_sum_table(ctx, f) for f in (1, 2, 3)}
+    tables["plain"] = char_sum_table(ctx)
+    records = list(conformance_sweep(ctx))
+    assert [(r.a, r.b) for r in records[:4]] == [(0, 1)] * 4
+    assert [r.sum_name for r in records[:4]] == ["plain", "family1", "family2", "family3"]
+    assert all(r.oracle == tables[r.sum_name][r.a | r.b << 3] for r in records)
+    assert all(r.match for r in records)
 
 
 def test_conformance_sweep_small_degrees():

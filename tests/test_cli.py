@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -70,12 +71,6 @@ def test_verify_json(capsys):
     assert payload["ok"] is True
 
 
-def test_verify_json_jobs_invariant(capsys):
-    _, single, _ = run(capsys, "verify", "--family", "1", "--m", "4", "--format", "json", "--jobs", "1")
-    _, multi, _ = run(capsys, "verify", "--family", "1", "--m", "4", "--format", "json", "--jobs", "8")
-    assert single == multi
-
-
 def test_charsums_json_lines(capsys):
     rc, out, _ = run(capsys, "charsums", "--m", "2", "--format", "json")
     assert rc == 0
@@ -131,6 +126,16 @@ def test_sumset_too_large_exits_3(capsys):
     assert "error:" in err
 
 
+def test_sumset_huge_s_exits_3_at_once(capsys):
+    # 2^16 spectrum entries of about 16 million bits each would need about 100 GB
+    start = time.monotonic()
+    rc, out, err = run(capsys, "sumset", "--family", "1", "--m", "8", "--s", "1000001")
+    assert rc == 3
+    assert out == ""
+    assert "estimated at" in err and "bits" in err
+    assert time.monotonic() - start < 20.0
+
+
 def test_sumset_family2_even_m_is_usage_error(capsys):
     rc, _, err = run(capsys, "sumset", "--family", "2", "--m", "4")
     assert rc == 2
@@ -152,10 +157,10 @@ def test_unknown_choice_is_usage_error(capsys):
 
 
 def test_sweep_exit_codes(capsys):
-    rc, out, _ = run(capsys, "sweep", "--max-m", "2", "--jobs", "1")
+    rc, out, _ = run(capsys, "sweep", "--max-m", "2")
     assert rc == 0
     assert "all claimed rows ok" in out
-    rc, out, _ = run(capsys, "sweep", "--max-m", "3", "--jobs", "1")
+    rc, out, _ = run(capsys, "sweep", "--max-m", "3")
     assert rc == 1
     assert "FAILURES above" in out
     # the ratio-1/2 row: minimal, but not by the sufficient condition
@@ -166,7 +171,7 @@ def test_sweep_exit_codes(capsys):
 
 
 def test_sweep_json_shape(capsys):
-    rc, out, _ = run(capsys, "sweep", "--max-m", "3", "--jobs", "1", "--format", "json")
+    rc, out, _ = run(capsys, "sweep", "--max-m", "3", "--format", "json")
     assert rc == 1
     payload = json.loads(out)
     assert payload["all_ok"] is False

@@ -10,8 +10,10 @@ from tracecodes.codes import (
     BinaryLinearCode,
     TooLargeError,
     codeword,
+    column_counts,
     distribution_json_dict,
     enumerate_defining_set,
+    generator_columns,
     generator_matrix,
     matrix_text,
     membership_element,
@@ -183,16 +185,53 @@ def test_weight_distribution_total_and_zero():
         assert wd[0] == 1
 
 
-def test_weight_distribution_jobs_invariance():
+def test_weight_distribution_matches_gray_oracle(gray_oracle):
+    for m in range(2, 9):
+        ctx = GF2m(m)
+        for family in (1, 2, 3):
+            code = generator_matrix(ctx, enumerate_defining_set(ctx, family))
+            assert weight_distribution(code) == gray_oracle(code), (family, m)
+    # external codes: a repeated row gives the zero word a second message
     ctx = GF2m(3)
-    code = generator_matrix(ctx, enumerate_defining_set(ctx, 1))
-    assert weight_distribution(code, jobs=1) == weight_distribution(code, jobs=8)
+    rows = generator_matrix(ctx, enumerate_defining_set(ctx, 1)).rows
+    repeated = BinaryLinearCode(n=32, k=7, rows=rows + rows[:1])
+    empty = BinaryLinearCode(n=3, k=0, rows=())
+    zero_col = BinaryLinearCode(n=3, k=2, rows=(0b110, 0b100))
+    for code in (repeated, empty, zero_col):
+        assert weight_distribution(code) == gray_oracle(code)
+    assert weight_distribution(repeated)[0] == 2
+    assert weight_distribution(empty) == {0: 1}
+
+
+def bitwise_columns(code):
+    return [
+        sum(((row >> j) & 1) << i for i, row in enumerate(code.rows)) for j in range(code.n)
+    ]
+
+
+def test_generator_columns_and_counts():
+    codes = [
+        BinaryLinearCode(n=3, k=0, rows=()),
+        BinaryLinearCode(n=4, k=2, rows=(0b1011, 0b1100)),
+        BinaryLinearCode(n=5, k=3, rows=(0, 0b10000, 0b00001)),
+    ]
+    for family, m in ((1, 2), (2, 3), (3, 4)):
+        ctx = GF2m(m)
+        codes.append(generator_matrix(ctx, enumerate_defining_set(ctx, family)))
+    for code in codes:
+        cols = generator_columns(code)
+        assert cols == bitwise_columns(code)
+        counts = column_counts(code)
+        assert len(counts) == 1 << code.k
+        assert all(counts[c] == cols.count(c) for c in range(1 << code.k))
 
 
 def test_weight_distribution_guard():
-    big = BinaryLinearCode(n=2, k=25, rows=tuple([1] * 25))
-    with pytest.raises(TooLargeError):
-        weight_distribution(big)
+    # one guard for every transform: 2^20 entries pass, 2^21 do not
+    for k in (21, 25):
+        big = BinaryLinearCode(n=2, k=k, rows=tuple([1] * k))
+        with pytest.raises(TooLargeError, match="transform guard 20"):
+            weight_distribution(big)
 
 
 def test_even_m_family2_matches_family1():

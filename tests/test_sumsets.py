@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from tracecodes.analysis import closed_form_distribution, generator_columns
-from tracecodes.codes import TooLargeError, enumerate_defining_set, generator_matrix
+from tracecodes import sumsets
+from tracecodes.analysis import closed_form_distribution
+from tracecodes.codes import (
+    TooLargeError,
+    enumerate_defining_set,
+    generator_columns,
+    generator_matrix,
+)
 from tracecodes.field import GF2m
 from tracecodes.sumsets import (
     OmegaSet,
@@ -15,9 +23,9 @@ from tracecodes.sumsets import (
     representation_counts_by_convolution,
     representation_counts_naive,
     symmetric_three_weight,
-    walsh_hadamard,
     xor_convolve,
 )
+from tracecodes.walsh import walsh_hadamard
 
 
 def hand_set(dim: int, vectors, include_zero: bool = False) -> OmegaSet:
@@ -91,6 +99,31 @@ def test_walsh_hadamard_self_inverse():
     values = [3, -1, 4, 1, -5, 9, 2, 6]
     twice = walsh_hadamard(walsh_hadamard(values))
     assert twice == [v * 8 for v in values]
+
+
+def test_walsh_hadamard_matches_definition():
+    values = [3, -1, 4, 1, -5, 9, 2, 6, 0, 0, 7, -2, 1, 1, 8, -8]
+    direct = [
+        sum(v * (-1) ** (u & i).bit_count() for i, v in enumerate(values))
+        for u in range(len(values))
+    ]
+    assert walsh_hadamard(values) == direct
+    assert walsh_hadamard([5]) == [5]
+
+
+def test_huge_s_is_refused_before_any_transform(monkeypatch):
+    omega = hand_set(4, (1, 2, 3))
+    start = time.monotonic()
+    with pytest.raises(TooLargeError, match="estimated at"):
+        representation_counts(omega, 10**9 + 1)
+    with pytest.raises(TooLargeError):
+        check_sum_set(omega, 10**9 + 1)
+    assert time.monotonic() - start < 1.0
+    # the estimate is 2^K * s * bit_length(size), here 16 * s * 2 bits
+    monkeypatch.setattr(sumsets, "POWER_MAX_BITS", 16 * 7 * 2)
+    assert sum(representation_counts(omega, 7)) == 3**7
+    with pytest.raises(TooLargeError, match="estimated at 288 bits"):
+        representation_counts(omega, 9)
 
 
 def test_transform_counts_match_naive_oracle():
