@@ -13,6 +13,7 @@ from .analysis import (
     closed_form_distribution,
     dual_code,
     griesmer_classify,
+    is_minimal,
     is_projective,
     pless_dual_counts,
     verify,
@@ -82,6 +83,7 @@ __all__ = [
     "generator_matrix",
     "griesmer_classify",
     "is_irreducible",
+    "is_minimal",
     "is_projective",
     "membership_element",
     "minimum_distance",

@@ -13,18 +13,17 @@ from typing import NamedTuple, Sequence
 
 from .codes import (
     BinaryLinearCode,
+    Spectrum,
     WeightDistribution,
-    column_counts,
+    code_spectrum,
     enumerate_defining_set,
     generator_matrix,
     minimum_distance,
-    weight_distribution,
 )
 from .field import GF2m
 from .walsh import TooLargeError, walsh_hadamard
 
 BRUTE_MINIMAL_MAX_DIM = 14
-VERIFY_BRUTE_DIM = 12
 
 
 class DualCounts(NamedTuple):
@@ -96,15 +95,19 @@ def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
 
 
 def is_projective(code: BinaryLinearCode) -> bool:
-    """True iff generator columns are nonzero and pairwise distinct: N[0] = 0, all N[c] <= 1.
+    """True iff generator columns are nonzero and pairwise distinct; see `spectrum_projective`."""
+    return spectrum_projective(code_spectrum(code))
+
+
+def spectrum_projective(spectrum: Spectrum) -> bool:
+    """N[0] = 0 and all N[c] <= 1: no generator column is zero or repeated.
 
     Requires full row rank, i.e. N^(u) = n (a zero codeword) at u = 0 only;
     columns of a rank-deficient matrix do not determine the dual distance.
     """
-    counts = column_counts(code)
-    if walsh_hadamard(counts).count(code.n) > 1:
-        raise ValueError(f"generator matrix is rank deficient (k={code.k})")
-    return counts[0] == 0 and max(counts) <= 1
+    if spectrum.transform.count(spectrum.n) > 1:
+        raise ValueError(f"generator matrix is rank deficient (k={spectrum.k})")
+    return spectrum.counts[0] == 0 and max(spectrum.counts) <= 1
 
 
 def griesmer_length(k: int, d: int, q: int = 2) -> int:
@@ -134,11 +137,56 @@ def ab_minimal(wd: WeightDistribution, q: int = 2) -> bool:
     return min(nonzero) * q > max(nonzero) * (q - 1)
 
 
+def minimality_triples(wd: WeightDistribution) -> list[tuple[int, int, int]]:
+    """Nonzero weights wi <= wj whose sum wi + wj is also a weight of the code.
+
+    supp(c) strictly inside supp(c') for nonzero c != c' means exactly that
+    d = c + c' is nonzero and wt(c') = wt(c) + wt(d), so a code without such
+    a triple is minimal.  The ratio condition 2 wmin > wmax rules out every
+    triple.
+    """
+    weights = sorted(w for w, c in wd.items() if w and c)
+    present = set(weights)
+    return [
+        (wi, wj, wi + wj)
+        for i, wi in enumerate(weights)
+        for wj in weights[i:]
+        if wi + wj in present
+    ]
+
+
+def spectrum_minimal(spectrum: Spectrum, wd: WeightDistribution) -> bool:
+    """Exact minimality: no nonzero codeword's support strictly contains another's.
+
+    With w(u) the weight of message u's codeword, the code is minimal iff no
+    messages u, v have w(u) = wi, w(v) = wj and w(u ^ v) = wi + wj for a
+    triple from `minimality_triples`.  Those pairs number
+    2^-k * sum over t of A_i^(t) * A_j^(t) * A_{i+j}^(t), where A_w is the
+    indicator of the class {u : w(u) = w}; one transform per class in a triple.
+    """
+    triples = minimality_triples(wd)
+    hat: dict[int, list[int]] = {}
+    for w in {w for triple in triples for w in triple}:
+        value = spectrum.n - 2 * w  # N^(u) on the class
+        hat[w] = walsh_hadamard([1 if s == value else 0 for s in spectrum.transform])
+    return not any(
+        sum(x * y * z for x, y, z in zip(hat[wi], hat[wj], hat[wk])) for wi, wj, wk in triples
+    )
+
+
+def is_minimal(code: BinaryLinearCode) -> bool:
+    """Exact minimality from the code's weight spectrum; see `spectrum_minimal`."""
+    spectrum = code_spectrum(code)
+    return spectrum_minimal(spectrum, spectrum.distribution())
+
+
 def brute_minimal(code: BinaryLinearCode) -> bool:
     """Exhaustive minimality check: no nonzero codeword's support strictly contains another's.
 
-    Containment between distinct binary words forces strictly smaller
-    weight, so only pairs from different weight classes are compared.
+    The test oracle for `spectrum_minimal`.  Containment between distinct
+    binary words forces strictly smaller weight, so only pairs from
+    different weight classes are compared; the zero word that a
+    rank-deficient matrix gives a nonzero message is skipped.
     """
     if code.k > BRUTE_MINIMAL_MAX_DIM:
         raise TooLargeError(f"dimension {code.k} exceeds brute-force cap {BRUTE_MINIMAL_MAX_DIM}")
@@ -146,7 +194,8 @@ def brute_minimal(code: BinaryLinearCode) -> bool:
     word = 0
     for i in range(1, 1 << code.k):
         word ^= code.rows[(i & -i).bit_length() - 1]
-        by_weight.setdefault(word.bit_count(), []).append(word)
+        if word:
+            by_weight.setdefault(word.bit_count(), []).append(word)
     weights = sorted(by_weight)
     for lo_idx, wlo in enumerate(weights):
         for whi in weights[lo_idx + 1 :]:
@@ -204,7 +253,7 @@ class VerificationReport:
     projective: bool
     griesmer: str
     ab_minimal: bool
-    brute_minimal: bool | None
+    brute_minimal: bool
     ok: bool
     notes: tuple[str, ...] = field(default=())
 
@@ -231,20 +280,24 @@ class VerificationReport:
 def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     """Build the family's code and check every claimed property exactly.
 
+    One column-count vector and its transform give the weights, the column
+    half of projectivity and the exact minimality verdict (`brute_minimal`
+    in the report, decided by `spectrum_minimal` at every size).
+
     ok means: weight distribution matches the applicable closed form, the
     code is projective by both routes, and for m >= 3 the sufficient
-    minimality condition wmin/wmax > 1/2 holds and the exhaustive check, run
-    only for k <= VERIFY_BRUTE_DIM, does not contradict it.  A minimal code
-    that fails the sufficient condition (family 2, m = 3, ratio exactly 1/2)
-    is therefore not ok; both verdicts are reported and a note says so.  For
-    family 2 with even m there is no closed form of its own; the comparison
-    is against the family-1 table, which is the claimed coincidence, and a
-    note records that reading.
+    minimality condition wmin/wmax > 1/2 holds and the exact check agrees.
+    A minimal code that fails the sufficient condition (family 2, m = 3,
+    ratio exactly 1/2) is therefore not ok; both verdicts are reported and a
+    note says so.  For family 2 with even m there is no closed form of its
+    own; the comparison is against the family-1 table, which is the claimed
+    coincidence, and a note records that reading.
     """
     ctx = GF2m(m, poly)
     dset = enumerate_defining_set(ctx, family)
     code = generator_matrix(ctx, dset)
-    wd = weight_distribution(code)
+    spectrum = code_spectrum(code)
+    wd = spectrum.distribution()
     d = minimum_distance(wd)
     notes: list[str] = []
 
@@ -256,27 +309,21 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     table_match = wd == expected
 
     duals = pless_dual_counts(wd, code.n, code.k)
-    projective_cols = is_projective(code)
+    projective_cols = spectrum_projective(spectrum)
     projective = projective_cols and duals == (0, 0)
     if projective_cols != (duals == (0, 0)):
         notes.append("column check and dual-count check disagree on projectivity")
 
     gries = griesmer_classify(code.n, code.k, d)
     abm = ab_minimal(wd)
-    if code.k <= VERIFY_BRUTE_DIM:
-        brute = brute_minimal(code)
-        if abm and not brute:
-            notes.append("sufficient minimality condition held but exhaustive check failed")
-    else:
-        brute = None
-        notes.append(f"exhaustive minimality check skipped (k={code.k} > {VERIFY_BRUTE_DIM})")
+    minimal = spectrum_minimal(spectrum, wd)
 
     minimal_ok = True
     if m >= 3:
-        minimal_ok = abm and (brute is None or brute)
+        minimal_ok = abm and minimal
         if not abm:
             notes.append("sufficient minimality condition fails although claimed for m >= 3")
-            if brute:
+            if minimal:
                 notes.append("exhaustive check still confirms minimality")
     ok = table_match and projective and minimal_ok
 
@@ -292,7 +339,7 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
         projective=projective,
         griesmer=gries,
         ab_minimal=abm,
-        brute_minimal=brute,
+        brute_minimal=minimal,
         ok=ok,
         notes=tuple(notes),
     )

@@ -24,9 +24,6 @@ from .sumsets import VARIANTS, build_omega, check_sum_set
 from .walsh import TooLargeError
 
 
-EXHAUSTIVE_LABELS = {True: "yes", False: "no", None: "skipped"}
-
-
 def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
@@ -66,9 +63,8 @@ def _verify_lines(report: VerificationReport) -> list[str]:
         f" (dual weight-1/weight-2 counts: {report.dual_counts.weight1}, {report.dual_counts.weight2})",
         f"griesmer: {report.griesmer}",
         f"minimal, sufficient condition: {'yes' if report.ab_minimal else 'no'}",
+        f"minimal, exhaustive: {'yes' if report.brute_minimal else 'no'}",
     ]
-    if report.brute_minimal is not None:
-        lines.append(f"minimal, exhaustive: {'yes' if report.brute_minimal else 'no'}")
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append("result: ok" if report.ok else "result: FAILED")
@@ -219,7 +215,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f" projective={'yes' if r.projective else 'NO'}"
                 f" griesmer={r.griesmer}"
                 f" sufficient={'yes' if r.ab_minimal else 'no'}"
-                f" exhaustive={EXHAUSTIVE_LABELS[r.brute_minimal]}"
+                f" exhaustive={'yes' if r.brute_minimal else 'no'}"
                 f" {'ok' if r.ok else 'FAILED'}"
             )
         for r in informational:

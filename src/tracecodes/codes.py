@@ -10,7 +10,8 @@ selected by a trace condition:
 The code itself evaluates trace(a*x*y + b*x) over the selected pairs, one
 coordinate per pair, as (a, b) ranges over the full 2m-dimensional message
 space.  Codewords are packed ints (bit i = coordinate of pair i); weights
-come from the Walsh spectrum of the counts of the generator columns.
+come from the Walsh spectrum of the counts of the generator columns, which
+`Spectrum` keeps for the projectivity and minimality verdicts too.
 """
 
 from __future__ import annotations
@@ -129,20 +130,44 @@ def column_counts(code: BinaryLinearCode) -> list[int]:
     return counts
 
 
-def weight_distribution(code: BinaryLinearCode) -> WeightDistribution:
-    """Exact counts over all 2^k messages, wt(u) = (n - N^(u)) / 2.
+@dataclass(frozen=True)
+class Spectrum:
+    """Column counts N over F_2^k and their transform, indexed by message u.
 
-    Codewords that a rank-deficient matrix repeats count once per message.
+    transform[u] = N^(u) = n - 2 wt(u), so weights, projectivity and
+    minimality are all read from one transform.
     """
-    wd: WeightDistribution = {}
-    for value, count in Counter(walsh_hadamard(column_counts(code))).items():
-        weight, odd = divmod(code.n - value, 2)
-        if odd:
-            raise AssertionError(f"spectrum value {value} has the wrong parity for n = {code.n}")
-        wd[weight] = count
-    if sum(wd.values()) != 1 << code.k:
-        raise AssertionError(f"weight counts do not sum to 2^{code.k}")
-    return dict(sorted(wd.items()))
+
+    n: int
+    k: int
+    counts: list[int]
+    transform: list[int]
+
+    def distribution(self) -> WeightDistribution:
+        """Exact counts over all 2^k messages, wt(u) = (n - N^(u)) / 2.
+
+        Codewords that a rank-deficient matrix repeats count once per message.
+        """
+        wd: WeightDistribution = {}
+        for value, count in Counter(self.transform).items():
+            weight, odd = divmod(self.n - value, 2)
+            if odd:
+                raise AssertionError(f"spectrum value {value} has the wrong parity for n = {self.n}")
+            wd[weight] = count
+        if sum(wd.values()) != 1 << self.k:
+            raise AssertionError(f"weight counts do not sum to 2^{self.k}")
+        return dict(sorted(wd.items()))
+
+
+def code_spectrum(code: BinaryLinearCode) -> Spectrum:
+    """The generator-column counts of `code` and their one transform."""
+    counts = column_counts(code)
+    return Spectrum(n=code.n, k=code.k, counts=counts, transform=walsh_hadamard(counts))
+
+
+def weight_distribution(code: BinaryLinearCode) -> WeightDistribution:
+    """Exact counts over all 2^k messages; see `Spectrum.distribution`."""
+    return code_spectrum(code).distribution()
 
 
 def minimum_distance(wd: WeightDistribution) -> int:

@@ -11,7 +11,6 @@ import time
 from functools import lru_cache
 
 from tracecodes.analysis import (
-    VERIFY_BRUTE_DIM,
     ab_minimal,
     brute_minimal,
     closed_form_distribution,
@@ -19,6 +18,7 @@ from tracecodes.analysis import (
     griesmer_classify,
     is_projective,
     pless_dual_counts,
+    verify,
 )
 from tracecodes.charsums import conformance_sweep
 from tracecodes.codes import (
@@ -165,11 +165,10 @@ def test_06_minimality_for_all_families_at_m3_to_m6():
     sufficient_fails = set()
     for family in (1, 2, 3):
         for m in range(3, 7):
-            code = _code(family, m)
-            if code.k > VERIFY_BRUTE_DIM:
-                bad.append(f"family {family} m={m}: k={code.k} beyond the exhaustive check")
-            elif brute_minimal(code) is not True:
+            if brute_minimal(_code(family, m)) is not True:
                 bad.append(f"family {family} m={m}: exhaustive check false")
+            if verify(family, m).brute_minimal is not True:
+                bad.append(f"family {family} m={m}: verify's exact check false")
             if not ab_minimal(_wd(family, m)):
                 sufficient_fails.add((family, m))
     boundary_weights = tuple(sorted(w for w in _wd(2, 3) if w))
@@ -183,7 +182,8 @@ def test_06_minimality_for_all_families_at_m3_to_m6():
         ok,
         "; ".join(bad)
         if bad
-        else "12 cases minimal by exhaustive check; sufficient condition holds in 11, "
+        else "12 cases minimal by exhaustive check and by verify's exact check; "
+        "sufficient condition holds in 11, "
         "fails at the ratio-1/2 boundary family 2 m=3 (2*8 = 16 is not > 16)",
     )
     assert ok, bad

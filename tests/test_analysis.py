@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tracecodes.analysis import (
@@ -12,8 +14,10 @@ from tracecodes.analysis import (
     dual_code,
     griesmer_classify,
     griesmer_length,
+    is_minimal,
     is_projective,
     matrix_rank,
+    minimality_triples,
     pless_dual_counts,
     row_reduce,
     verify,
@@ -27,11 +31,11 @@ from tracecodes.codes import (
     minimum_distance,
     weight_distribution,
 )
-from tracecodes.field import GF2m
+from tracecodes.field import GF2m, is_irreducible
 
 
-def build(family: int, m: int) -> BinaryLinearCode:
-    ctx = GF2m(m)
+def build(family: int, m: int, poly: int = 0) -> BinaryLinearCode:
+    ctx = GF2m(m, poly)
     return generator_matrix(ctx, enumerate_defining_set(ctx, family))
 
 
@@ -159,11 +163,82 @@ def test_ab_minimal():
 def test_brute_minimal():
     not_minimal = BinaryLinearCode(n=3, k=2, rows=(0b011, 0b111))
     assert not brute_minimal(not_minimal)
+    # rank deficient: message 0b11 gives the zero word, and the one nonzero
+    # codeword 0b111 is trivially minimal
+    repeated = BinaryLinearCode(n=3, k=2, rows=(0b111, 0b111))
+    assert brute_minimal(repeated)
+    assert is_minimal(repeated)
     assert brute_minimal(build(1, 3))
     assert brute_minimal(build(3, 3))
     assert brute_minimal(build(2, 3))  # minimal in fact, though the ratio bound misses it
     with pytest.raises(TooLargeError):
         brute_minimal(BinaryLinearCode(n=2, k=15, rows=tuple([1] * 15)))
+
+
+def test_minimality_triples():
+    assert minimality_triples({0: 1, 2: 1, 4: 11, 6: 3}) == [(2, 2, 4), (2, 4, 6)]
+    assert minimality_triples({0: 1, 3: 4, 4: 5, 5: 4, 6: 2}) == [(3, 3, 6)]
+    assert minimality_triples({0: 1, 8: 6, 12: 48, 16: 9}) == [(8, 8, 16)]
+    assert minimality_triples({0: 1, 12: 6, 16: 47, 20: 10}) == []
+    # a weight with count 0 is not a weight of the code
+    assert minimality_triples({0: 1, 3: 4, 6: 0}) == []
+    assert minimality_triples({0: 4}) == []
+
+
+def largest_irreducible(m: int) -> int:
+    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m))
+
+
+def test_exact_minimality_matches_oracle_on_family_codes():
+    for m in range(2, 7):
+        for poly in (0, largest_irreducible(m)):
+            for family in (1, 2, 3):
+                code = build(family, m, poly)
+                want = brute_minimal(code)
+                assert is_minimal(code) == want, (family, m, poly)
+                assert verify(family, m, poly).brute_minimal == want, (family, m, poly)
+                if m >= 4:  # decided by the triple test alone
+                    assert minimality_triples(weight_distribution(code)) == [], (family, m, poly)
+
+
+def test_exact_minimality_both_triple_branches():
+    # triples exist, and pairs realise one: not minimal
+    for family in (1, 3):
+        code = build(family, 2)
+        assert minimality_triples(weight_distribution(code))
+        assert not brute_minimal(code)
+        assert not is_minimal(code)
+    # 8 + 8 = 16 is a weight, but no two weight-8 words add to a weight-16 one
+    code = build(2, 3)
+    assert minimality_triples(weight_distribution(code)) == [(8, 8, 16)]
+    assert brute_minimal(code)
+    assert is_minimal(code)
+
+
+def test_exact_minimality_matches_oracle_on_random_codes():
+    rng = random.Random(20181)
+    verdicts = set()
+    rank_deficient = 0
+    for _ in range(600):
+        k = rng.randint(0, 7)
+        n = rng.randint(1, 14)
+        rows = tuple(rng.getrandbits(n) for _ in range(k))
+        code = BinaryLinearCode(n=n, k=k, rows=rows)
+        want = brute_minimal(code)
+        assert is_minimal(code) == want, code
+        verdicts.add(want)
+        rank_deficient += matrix_rank(rows, n) < k
+    assert verdicts == {True, False}
+    assert rank_deficient > 50
+
+
+def test_verify_decides_minimality_beyond_the_oracle():
+    for m in (7, 8):
+        for family in (1, 2, 3):
+            report = verify(family, m)
+            assert report.brute_minimal is True, (family, m)
+            assert report.ab_minimal
+            assert not any("skipped" in note for note in report.notes), report.notes
 
 
 def test_closed_form_distribution_rows():

@@ -170,6 +170,15 @@ def test_sweep_exit_codes(capsys):
     assert "informational" not in out.splitlines()[-1]
 
 
+def test_sweep_decides_minimality_at_every_m(capsys):
+    rc, out, _ = run(capsys, "sweep", "--max-m", "7")
+    assert rc == 1  # the family-2 m=3 row only
+    assert "exhaustive=skipped" not in out
+    rows = [line for line in out.splitlines() if " m=7: " in line]
+    assert len(rows) == 3
+    assert all("sufficient=yes exhaustive=yes ok" in row for row in rows)
+
+
 def test_sweep_json_shape(capsys):
     rc, out, _ = run(capsys, "sweep", "--max-m", "3", "--format", "json")
     assert rc == 1
