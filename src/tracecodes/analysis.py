@@ -16,8 +16,9 @@ from .codes import (
     Spectrum,
     WeightDistribution,
     code_spectrum,
+    column_spectrum,
+    defining_columns,
     enumerate_defining_set,
-    generator_matrix,
     minimum_distance,
 )
 from .field import GF2m
@@ -280,9 +281,10 @@ class VerificationReport:
 def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     """Build the family's code and check every claimed property exactly.
 
-    One column-count vector and its transform give the weights, the column
-    half of projectivity and the exact minimality verdict (`brute_minimal`
-    in the report, decided by `spectrum_minimal` at every size).
+    The counts of the defining set's columns (`defining_columns`; no
+    generator rows are built) and their one transform give the weights, the
+    column half of projectivity and the exact minimality verdict
+    (`brute_minimal` in the report, decided by `spectrum_minimal` at every size).
 
     ok means: weight distribution matches the applicable closed form, the
     code is projective by both routes, and for m >= 3 the sufficient
@@ -294,9 +296,8 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     coincidence, and a note records that reading.
     """
     ctx = GF2m(m, poly)
-    dset = enumerate_defining_set(ctx, family)
-    code = generator_matrix(ctx, dset)
-    spectrum = code_spectrum(code)
+    spectrum = column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), 2 * m)
+    n, k = spectrum.n, spectrum.k
     wd = spectrum.distribution()
     d = minimum_distance(wd)
     notes: list[str] = []
@@ -308,13 +309,13 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
         expected = closed_form_distribution(family, m)
     table_match = wd == expected
 
-    duals = pless_dual_counts(wd, code.n, code.k)
+    duals = pless_dual_counts(wd, n, k)
     projective_cols = spectrum_projective(spectrum)
     projective = projective_cols and duals == (0, 0)
     if projective_cols != (duals == (0, 0)):
         notes.append("column check and dual-count check disagree on projectivity")
 
-    gries = griesmer_classify(code.n, code.k, d)
+    gries = griesmer_classify(n, k, d)
     abm = ab_minimal(wd)
     minimal = spectrum_minimal(spectrum, wd)
 
@@ -330,8 +331,8 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     return VerificationReport(
         family=family,
         m=m,
-        n=code.n,
-        k=code.k,
+        n=n,
+        k=k,
         d=d,
         counts=wd,
         table_match=table_match,

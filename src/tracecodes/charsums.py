@@ -2,9 +2,10 @@
 
 Every sum here is an exact integer: summands are (-1)^t with t a trace bit.
 The conformance sweep reads every (a, b) from one Walsh-Hadamard transform
-per sum; the plain double loops over (x, y) with x nonzero are kept as the
-oracles the tests pin those tables to.  Closed forms with a genuinely
-undetermined sign return both candidates, and conformance means membership.
+per sum of the family's generator columns (`codes.defining_columns`); the
+plain double loops over (x, y) with x nonzero are kept as the oracles the
+tests pin those tables to.  Closed forms with a genuinely undetermined
+sign return both candidates, and conformance means membership.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Iterable, Iterator, NamedTuple
 
-from .codes import membership_element
-from .field import FieldElement, GF2m, mul_table, trace_coordinates, trace_table
+from .codes import defining_columns, enumerate_defining_set, membership_form
+from .field import FieldElement, GF2m, mul_row, trace_table
 from .walsh import walsh_hadamard, zero_vector
 
 
@@ -53,8 +54,8 @@ def reciprocal_quadratic_roots(ctx: GF2m, a: FieldElement) -> frozenset[int]:
     """
     if a == 0:
         raise ValueError("coefficient must be nonzero")
-    mt = mul_table(ctx)
-    return frozenset(r for r in ctx.units() if mt[r][r] ^ mt[a][r] ^ 1 == 0)
+    row_a = mul_row(ctx, a)
+    return frozenset(r for r in ctx.units() if ctx.mul(r, r) ^ row_a[r] ^ 1 == 0)
 
 
 @lru_cache(maxsize=None)
@@ -70,66 +71,55 @@ def trace_pair_count(ctx: GF2m, subset: Iterable[FieldElement], bit: int) -> int
     if 0 in members:
         raise ValueError("subset must contain nonzero elements only")
     tr = trace_table(ctx)
-    mt = mul_table(ctx)
-    return sum(1 for e in members for b in ctx.units() if tr[mt[e][b]] == bit)
+    return sum(1 for e in members for eb in mul_row(ctx, e)[1:] if tr[eb] == bit)
 
 
 def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
     """S(a, b) at index a | b << m for every (a, b); family None is the plain sum.
 
-    Tr(a*z) = popcount(a & coords[z]) mod 2, so the table is the transform
-    of the signed counts of coords[x*y] | coords[x] << m over (x, y), x != 0.
+    Tr(a*z) = popcount(a & coords[z]) mod 2, so a sum over pairs (x, y), x != 0,
+    is the transform of their column counts (`codes.defining_columns`).  All
+    q^2 - q columns are distinct, with nonzero high m bits: the plain sum is
+    the transform of their indicator P, a family sum that of 2N - P, N the
+    counts of the family's columns (+1 on members, -1 off).
     """
-    tr = trace_table(ctx)
-    mt = mul_table(ctx)
-    coords = trace_coordinates(ctx)
+    q = ctx.size
     counts = zero_vector(2 * ctx.m)
-    for x in ctx.units():
-        row_x, high = mt[x], coords[x] << ctx.m
-        for y in ctx.elements():
-            sign = 1 if family is None else 1 - 2 * tr[membership_element(ctx, family, x, y)]
-            counts[coords[row_x[y]] | high] += sign
+    counts[q:] = [1] * (q * q - q)
+    if family is not None:
+        counts = [-p for p in counts]
+        for c in defining_columns(ctx, enumerate_defining_set(ctx, family)):
+            counts[c] += 2
     return walsh_hadamard(counts)
 
 
 def plain_char_sum(ctx: GF2m, a: FieldElement, b: FieldElement) -> int:
     """sum over x != 0, all y of (-1)^trace(a*x*y + b*x)."""
     tr = trace_table(ctx)
-    mt = mul_table(ctx)
+    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
     q = ctx.size
     total = 0
     for x in range(1, q):
-        row_ax = mt[mt[a][x]]
-        bx = mt[b][x]
-        ones = sum(tr[row_ax[y] ^ bx] for y in range(q))
+        bx = row_b[x]
+        ones = sum([tr[axy ^ bx] for axy in mul_row(ctx, row_a[x])])
         total += q - 2 * ones
     return total
 
 
 def family_char_sum(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> int:
-    """sum over x != 0, all y of (-1)^(trace(membership term) + trace(a*x*y + b*x)).
+    """sum over x != 0, all y of (-1)^(trace(u*y + c) + trace(a*x*y + b*x)).
 
-    The membership term is the family's defining-set element: y*x^2 + y,
-    y*x^2 + x + y, or y*x^2 + x*y.
+    trace(u*y + c) is the family's membership condition (`membership_form`);
+    by additivity of the trace each x needs one row, that of u + a*x.
     """
-    if family not in (1, 2, 3):
-        raise ValueError(f"family must be 1, 2 or 3, got {family}")
     tr = trace_table(ctx)
-    mt = mul_table(ctx)
+    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
     q = ctx.size
     total = 0
     for x in range(1, q):
-        xx = mt[x][x]
-        if family == 1:
-            u, c = xx ^ 1, 0
-        elif family == 2:
-            u, c = xx ^ 1, x
-        else:
-            u, c = xx ^ x, 0
-        row_u = mt[u]
-        row_ax = mt[mt[a][x]]
-        bx = mt[b][x]
-        ones = sum(tr[row_u[y] ^ c] ^ tr[row_ax[y] ^ bx] for y in range(q))
+        u, c = membership_form(ctx, family, x)
+        shift = c ^ row_b[x]
+        ones = sum([tr[z ^ shift] for z in mul_row(ctx, u ^ row_a[x])])
         total += q - 2 * ones
     return total
 
@@ -151,7 +141,6 @@ def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElem
     _require_nonzero_pair(a, b)
     q = ctx.size
     tr = trace_table(ctx)
-    mt = mul_table(ctx)
     split = coefficient_sets(ctx).reciprocal_sums
     if family == 1:
         if a == 0:
@@ -162,7 +151,7 @@ def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElem
             return CharSumValue((0,), "a outside reciprocal-sum set")
         if b == 0:
             return CharSumValue((2 * q,), "a in reciprocal-sum set, b=0")
-        if tr[mt[a][b]]:
+        if tr[ctx.mul(a, b)]:
             return CharSumValue((0,), "a in reciprocal-sum set, trace(a*b)=1")
         return CharSumValue((-2 * q, 2 * q), "a in reciprocal-sum set, trace(a*b)=0")
     if family == 2:
@@ -174,7 +163,7 @@ def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElem
             return CharSumValue((-q,), "a=0, trace(b)=0")
         if a not in split:
             return CharSumValue((0,), "a outside reciprocal-sum set")
-        if tr[mt[a][b ^ 1]]:
+        if tr[ctx.mul(a, b ^ 1)]:
             return CharSumValue((0,), "a in reciprocal-sum set, trace(a*(b+1))=1")
         return CharSumValue((-2 * q, 2 * q), "a in reciprocal-sum set, trace(a*(b+1))=0")
     if family == 3:
@@ -184,7 +173,7 @@ def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElem
             if tr[b]:
                 return CharSumValue((-q,), "a=0, trace(b)=1")
             return CharSumValue((q,), "a=0, trace(b)=0")
-        if tr[mt[a ^ 1][b]]:
+        if tr[ctx.mul(a ^ 1, b)]:
             return CharSumValue((-q,), "a unit !=1, trace((a+1)*b)=1")
         return CharSumValue((q,), "a unit !=1, trace((a+1)*b)=0")
     raise ValueError(f"family must be 1, 2 or 3, got {family}")

@@ -1,25 +1,24 @@
 """Defining-set code construction and exact weight enumeration.
 
-Three families of binary codes are built from pairs (x, y) with x nonzero,
-selected by a trace condition:
-
-    family 1:  trace(y*x^2 + y) = 0
-    family 2:  trace(y*x^2 + x + y) = 0
-    family 3:  trace(y*x^2 + x*y) = 0
-
-The code itself evaluates trace(a*x*y + b*x) over the selected pairs, one
-coordinate per pair, as (a, b) ranges over the full 2m-dimensional message
-space.  Codewords are packed ints (bit i = coordinate of pair i); weights
-come from the Walsh spectrum of the counts of the generator columns, which
-`Spectrum` keeps for the projectivity and minimality verdicts too.
+Three families of binary codes are built from pairs (x, y) with x nonzero.
+For fixed x each family's trace condition is affine in y, trace(u*y + c) = 0;
+`membership_form` is the one place the three conditions are written, and
+`defining_columns` the one place a pair becomes its generator column
+coords(x*y) | coords(x) << m.  Codeword (a, b) evaluates trace(a*x*y + b*x)
+over the pairs and is a packed int (bit i = coordinate of pair i).  Weights
+come from the Walsh spectrum of the column counts, which `Spectrum` keeps
+for the projectivity and minimality verdicts too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
+from typing import Sequence
 
-from .field import FieldElement, GF2m, mul_table, trace_table
+from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table
 from .walsh import TooLargeError, walsh_hadamard, zero_vector  # TooLargeError re-exported
 
 FAMILIES = (1, 2, 3)
@@ -50,84 +49,85 @@ class BinaryLinearCode:
     provenance: tuple[int, int] | None = None  # (family, m); None = external
 
 
-def membership_element(ctx: GF2m, family: int, x: FieldElement, y: FieldElement) -> FieldElement:
-    """The field element whose trace decides membership of (x, y)."""
+def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, FieldElement]:
+    """(u, c) such that (x, y) is in the family's defining set iff trace(u*y + c) = 0."""
     xx = ctx.mul(x, x)
     if family == 1:
-        return ctx.mul(y, xx) ^ y
+        return xx ^ 1, 0
     if family == 2:
-        return ctx.mul(y, xx) ^ x ^ y
+        return xx ^ 1, x
     if family == 3:
-        return ctx.mul(y, xx) ^ ctx.mul(x, y)
+        return xx ^ x, 0
     raise ValueError(f"family must be one of {FAMILIES}, got {family}")
 
 
+def membership_element(ctx: GF2m, family: int, x: FieldElement, y: FieldElement) -> FieldElement:
+    """The field element whose trace decides membership of (x, y)."""
+    u, c = membership_form(ctx, family, x)
+    return ctx.mul(u, y) ^ c
+
+
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
-    """All qualifying pairs in ascending (x, y) order."""
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family}")
+    """All qualifying pairs in ascending (x, y) order, one multiplication row per x."""
     tr = trace_table(ctx)
     pairs = []
     for x in ctx.units():
-        for y in ctx.elements():
-            if tr[membership_element(ctx, family, x, y)] == 0:
-                pairs.append((x, y))
+        u, c = membership_form(ctx, family, x)
+        bit = tr[c]
+        pairs.extend((x, y) for y, uy in enumerate(mul_row(ctx, u)) if tr[uy] == bit)
     return DefiningSet(family=family, m=ctx.m, pairs=tuple(pairs))
+
+
+def defining_columns(ctx: GF2m, dset: DefiningSet) -> list[int]:
+    """Generator column of each pair, in pair order: coords(x*y) | coords(x) << m.
+
+    Bit j < m is trace(x^j * x*y), the coordinate of message (x^j, 0); bit
+    m + j is trace(x^j * x), that of (0, x^j).
+    """
+    coords = trace_coordinates(ctx)
+    columns = []
+    for x, group in groupby(dset.pairs, key=itemgetter(0)):
+        row, high = mul_row(ctx, x), coords[x] << ctx.m
+        columns.extend(coords[row[y]] | high for _, y in group)
+    return columns
 
 
 def codeword(ctx: GF2m, dset: DefiningSet, a: FieldElement, b: FieldElement) -> int:
     """Packed evaluation of trace(a*x*y + b*x) over the defining set."""
     tr = trace_table(ctx)
-    mt = mul_table(ctx)
-    row_a = mt[a]
-    row_b = mt[b]
-    word = 0
-    for i, (x, y) in enumerate(dset.pairs):
-        word |= tr[mt[row_a[x]][y] ^ row_b[x]] << i
-    return word
+    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
+    bits = []
+    for x, group in groupby(dset.pairs, key=itemgetter(0)):
+        row_ax, bx = mul_row(ctx, row_a[x]), row_b[x]
+        bits.extend("01"[tr[row_ax[y] ^ bx]] for _, y in group)
+    return int("".join(reversed(bits)) or "0", 2)
+
+
+def transpose(vectors: Sequence[int], width: int) -> list[int]:
+    """Bit-matrix transpose: bit j of entry i is bit i of vectors[j], for i < width.
+
+    Zipping the width-bit strings, last vector first, reads each entry as a
+    string, highest entry first.
+    """
+    if not vectors or not width:
+        return [0] * width
+    strings = [format(v, f"0{width}b") for v in reversed(vectors)]
+    return [int("".join(bits), 2) for bits in zip(*strings)][::-1]
 
 
 def generator_matrix(ctx: GF2m, dset: DefiningSet) -> BinaryLinearCode:
     """2m generator rows: the codewords of the (a, b) polynomial-basis vectors.
 
     Row j < m is the codeword of (a, b) = (x^j, 0); row m + j is the codeword
-    of (0, x^j).
+    of (0, x^j).  The rows are the transpose of `defining_columns`.
     """
-    m = ctx.m
-    mt = mul_table(ctx)
-    tr = trace_table(ctx)
-    rows = [0] * (2 * m)
-    for i, (x, y) in enumerate(dset.pairs):
-        xy = mt[x][y]
-        bit = 1 << i
-        for j in range(m):
-            if tr[mt[1 << j][xy]]:
-                rows[j] |= bit
-            if tr[mt[1 << j][x]]:
-                rows[m + j] |= bit
-    return BinaryLinearCode(
-        n=len(dset.pairs), k=2 * m, rows=tuple(rows), provenance=(dset.family, dset.m)
-    )
+    rows = tuple(transpose(defining_columns(ctx, dset), 2 * ctx.m))
+    return BinaryLinearCode(n=len(dset), k=len(rows), rows=rows, provenance=(dset.family, dset.m))
 
 
 def generator_columns(code: BinaryLinearCode) -> list[int]:
-    """Column j of the generator matrix as a k-bit int (bit i from row i).
-
-    Zipping the rows' binary strings, last row first, reads each column as a
-    k-bit string, highest column first.
-    """
-    if not code.rows or not code.n:
-        return [0] * code.n
-    strings = [format(row, f"0{code.n}b") for row in reversed(code.rows)]
-    return [int("".join(bits), 2) for bits in zip(*strings)][::-1]
-
-
-def column_counts(code: BinaryLinearCode) -> list[int]:
-    """N[c] = number of generator columns equal to c, for every c in F_2^k."""
-    counts = zero_vector(code.k)
-    for c in generator_columns(code):
-        counts[c] += 1
-    return counts
+    """Column j of the generator matrix as a k-bit int (bit i from row i)."""
+    return transpose(code.rows, code.n)
 
 
 @dataclass(frozen=True)
@@ -159,10 +159,17 @@ class Spectrum:
         return dict(sorted(wd.items()))
 
 
+def column_spectrum(columns: Sequence[int], k: int) -> Spectrum:
+    """Counts of the k-bit generator columns over F_2^k and their one transform."""
+    counts = zero_vector(k)
+    for c in columns:
+        counts[c] += 1
+    return Spectrum(n=len(columns), k=k, counts=counts, transform=walsh_hadamard(counts))
+
+
 def code_spectrum(code: BinaryLinearCode) -> Spectrum:
     """The generator-column counts of `code` and their one transform."""
-    counts = column_counts(code)
-    return Spectrum(n=code.n, k=code.k, counts=counts, transform=walsh_hadamard(counts))
+    return column_spectrum(generator_columns(code), code.k)
 
 
 def weight_distribution(code: BinaryLinearCode) -> WeightDistribution:

@@ -3,7 +3,8 @@
 Field elements are plain ints: bit j is the coefficient of x^j in the
 polynomial basis {1, x, x^2, ...}.  Addition is XOR, multiplication is
 carry-less shift-and-reduce modulo an irreducible polynomial, and the
-absolute trace maps onto {0, 1}.
+absolute trace maps onto {0, 1}.  Bulk products come one O(q) row at a
+time from `mul_row`; the cached tables have q entries each.
 """
 
 from __future__ import annotations
@@ -130,10 +131,20 @@ def trace_table(ctx: GF2m) -> tuple[int, ...]:
     return tuple(ctx.trace(z) for z in ctx.elements())
 
 
-@lru_cache(maxsize=None)
-def mul_table(ctx: GF2m) -> tuple[tuple[int, ...], ...]:
-    """Full multiplication table; memoized for enumeration-heavy callers."""
-    return tuple(tuple(ctx.mul(a, b) for b in ctx.elements()) for a in ctx.elements())
+def mul_row(ctx: GF2m, a: FieldElement) -> list[int]:
+    """a*y for every y, indexed by y, in O(q) and uncached.
+
+    By linearity the row over y < 2^(j+1) is the row over y < 2^j followed by
+    that row XOR a*x^j, under any irreducible polynomial, primitive or not.
+    """
+    top = 1 << ctx.m
+    row = [0, a]
+    for _ in range(ctx.m - 1):
+        a <<= 1
+        if a & top:
+            a ^= ctx.poly
+        row += [r ^ a for r in row]
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -145,12 +156,5 @@ def trace_coordinates(ctx: GF2m) -> tuple[int, ...]:
     spelling field elements as GF(2) column vectors.
     """
     tr = trace_table(ctx)
-    out = []
-    for z in ctx.elements():
-        bits = 0
-        w = z
-        for j in range(ctx.m):
-            bits |= tr[w] << j
-            w = ctx.mul(w, 2)  # multiply by x
-        out.append(bits)
-    return tuple(out)
+    rows = [mul_row(ctx, 1 << j) for j in range(ctx.m)]  # x^j * z for every z
+    return tuple(sum(tr[row[z]] << j for j, row in enumerate(rows)) for z in ctx.elements())

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
-from .codes import WeightDistribution, enumerate_defining_set
-from .field import GF2m, mul_table, trace_coordinates
+from .codes import WeightDistribution, defining_columns, enumerate_defining_set
+from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TRANSFORM_MAX_DIM, TooLargeError, walsh_hadamard, zero_vector
 
 VARIANTS = ("paper-column", "code-column")
@@ -75,23 +76,18 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     dset = enumerate_defining_set(ctx, family)
-    coords = trace_coordinates(ctx)
-    mt = mul_table(ctx)
     m = ctx.m
-    raw = set()
-    for x, y in dset.pairs:
-        if variant == "code-column":
-            v = coords[mt[x][y]] | (coords[x] << m)
-            dim = 2 * m
-        elif family == 1:
-            yxx = mt[y][mt[x][x]]
-            v = coords[yxx] | (coords[y] << m)
-            dim = 2 * m
-        else:
-            yxx = mt[y][mt[x][x]]
-            v = coords[yxx] | (coords[x] << m) | (coords[y] << 2 * m)
-            dim = 3 * m
-        raw.add(v)
+    if variant == "code-column":
+        raw = set(defining_columns(ctx, dset))
+        dim = 2 * m
+    else:
+        coords = trace_coordinates(ctx)
+        dim = 2 * m if family == 1 else 3 * m
+        raw = set()
+        for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
+            row = mul_row(ctx, ctx.mul(x, x))
+            x_part = 0 if family == 1 else coords[x] << m
+            raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)
     return OmegaSet(
         ambient_dim=dim,
         vectors=frozenset(raw - {0}),

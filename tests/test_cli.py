@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 
@@ -42,6 +43,22 @@ def test_construct_json(capsys):
     assert payload["k"] == 4
     assert payload["defining_pairs"] == 8
     assert payload["rows"] == F1_M2_MATRIX
+
+
+# sha256 of `construct --family f --m 4 --format json` stdout, recorded from the
+# per-pair table construction that the column transpose replaced
+CONSTRUCT_M4_JSON_SHA256 = {
+    1: "6f24c10fca1c80640181933609132fda06221bae98ae4a47ed79b0d6884f4b4e",
+    2: "08b8e60a15b38224f088fdfb029d688bcd8abe08e0603693ebbce72bb9db6d2c",
+    3: "0a787882c65717a21909aa0698bb3e3d90f27daba5281ece598115d8c8768c3c",
+}
+
+
+def test_construct_json_pinned_at_m4(capsys):
+    for family, digest in CONSTRUCT_M4_JSON_SHA256.items():
+        rc, out, _ = run(capsys, "construct", "--family", str(family), "--m", "4", "--format", "json")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, family
 
 
 def test_construct_family2_even_m_warns(capsys):

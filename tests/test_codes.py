@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from tracecodes.analysis import matrix_rank
+from tracecodes.analysis import matrix_rank, verify
 from tracecodes.charsums import family_char_sum, plain_char_sum
 from tracecodes.codes import (
     BinaryLinearCode,
     TooLargeError,
+    code_spectrum,
     codeword,
-    column_counts,
+    defining_columns,
     distribution_json_dict,
     enumerate_defining_set,
     generator_columns,
@@ -20,7 +21,7 @@ from tracecodes.codes import (
     minimum_distance,
     weight_distribution,
 )
-from tracecodes.field import GF2m
+from tracecodes.field import GF2m, is_irreducible, trace_coordinates
 
 # exact distributions, checked against the closed forms elsewhere
 TABLE_ROWS = {
@@ -57,24 +58,46 @@ def test_defining_set_sizes():
             assert size2 == 1 << (2 * m - 1)
 
 
+def largest_irreducible(m: int) -> int:
+    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m))
+
+
 def test_defining_set_membership_and_order():
-    for family in (1, 2, 3):
-        for m in (2, 3):
-            ctx = GF2m(m)
-            dset = enumerate_defining_set(ctx, family)
-            assert list(dset.pairs) == sorted(dset.pairs)
-            assert len(set(dset.pairs)) == len(dset.pairs)
-            for x, y in dset.pairs:
-                assert x != 0
-                assert ctx.trace(membership_element(ctx, family, x, y)) == 0
-            # completeness against a direct scan
-            full = [
-                (x, y)
-                for x in ctx.units()
-                for y in ctx.elements()
-                if ctx.trace(membership_element(ctx, family, x, y)) == 0
-            ]
-            assert list(dset.pairs) == sorted(full)
+    for m in (2, 3, 4, 5):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            for family in (1, 2, 3):
+                dset = enumerate_defining_set(ctx, family)
+                assert list(dset.pairs) == sorted(dset.pairs)
+                assert len(set(dset.pairs)) == len(dset.pairs)
+                for x, y in dset.pairs:
+                    assert x != 0
+                    assert ctx.trace(membership_element(ctx, family, x, y)) == 0
+                # completeness against a direct scan
+                full = [
+                    (x, y)
+                    for x in ctx.units()
+                    for y in ctx.elements()
+                    if ctx.trace(membership_element(ctx, family, x, y)) == 0
+                ]
+                assert list(dset.pairs) == sorted(full), (family, m, poly)
+
+
+def test_defining_columns_match_per_pair_oracle():
+    # the one column map against a per-pair product, the generator rows and verify
+    for m in range(2, 7):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            coords = trace_coordinates(ctx)
+            for family in (1, 2, 3):
+                dset = enumerate_defining_set(ctx, family)
+                columns = defining_columns(ctx, dset)
+                want = [coords[ctx.mul(x, y)] | coords[x] << m for x, y in dset.pairs]
+                assert columns == want, (family, m, poly)
+                code = generator_matrix(ctx, dset)
+                assert generator_columns(code) == columns, (family, m, poly)
+                wd = weight_distribution(code)
+                assert verify(family, m, poly).counts == wd, (family, m, poly)
 
 
 def test_family1_m2_pairs_exactly():
@@ -116,6 +139,7 @@ def test_weight_equals_character_sum_combination():
     # two relevant exponential sums, for every coefficient pair
     for m in (2, 3, 4, 5):
         ctx = GF2m(m)
+        plain = {(a, b): plain_char_sum(ctx, a, b) for a in ctx.elements() for b in ctx.elements()}
         for family in (1, 2, 3):
             dset = enumerate_defining_set(ctx, family)
             half = len(dset) // 2
@@ -124,7 +148,7 @@ def test_weight_equals_character_sum_combination():
                 for b in ctx.elements():
                     if (a, b) == (0, 0):
                         continue
-                    s_plain = plain_char_sum(ctx, a, b)
+                    s_plain = plain[a, b]
                     s_fam = family_char_sum(ctx, family, a, b)
                     assert (s_plain + s_fam) % 4 == 0
                     wt = codeword(ctx, dset, a, b).bit_count()
@@ -221,7 +245,7 @@ def test_generator_columns_and_counts():
     for code in codes:
         cols = generator_columns(code)
         assert cols == bitwise_columns(code)
-        counts = column_counts(code)
+        counts = code_spectrum(code).counts
         assert len(counts) == 1 << code.k
         assert all(counts[c] == cols.count(c) for c in range(1 << code.k))
 
@@ -245,10 +269,10 @@ def test_even_m_family2_matches_family1():
 def test_distribution_invariant_under_reduction_polynomial():
     for family in (1, 2, 3):
         wds = []
-        for poly in (0b10011, 0b11001):
+        for poly in (0b10011, 0b11001, 0b11111):  # 0b11111 is not primitive: x^5 = 1
             ctx = GF2m(4, poly)
             wds.append(weight_distribution(generator_matrix(ctx, enumerate_defining_set(ctx, family))))
-        assert wds[0] == wds[1]
+        assert wds[0] == wds[1] == wds[2]
 
 
 def test_minimum_distance():

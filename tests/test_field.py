@@ -8,7 +8,7 @@ from tracecodes.field import (
     DEFAULT_POLYS,
     GF2m,
     is_irreducible,
-    mul_table,
+    mul_row,
     poly_mod,
     trace_coordinates,
     trace_table,
@@ -147,11 +147,28 @@ def test_tables_agree_with_methods():
     for m in (2, 3, 4):
         ctx = GF2m(m)
         tt = trace_table(ctx)
-        mt = mul_table(ctx)
         for a in ctx.elements():
             assert tt[a] == ctx.trace(a)
-            for b in ctx.elements():
-                assert mt[a][b] == ctx.mul(a, b)
+
+
+# irreducible but not primitive: x has order 5 and 9 respectively
+NON_PRIMITIVE = {4: 0b11111, 6: 0b1001001}
+
+
+def test_mul_row():
+    for m in range(2, 7):
+        for poly in (DEFAULT_POLYS[m], NON_PRIMITIVE.get(m)):
+            if poly is None:
+                continue
+            ctx = GF2m(m, poly)
+            for a in ctx.elements():
+                row = mul_row(ctx, a)
+                assert len(row) == ctx.size
+                assert row == [ctx.mul(a, y) for y in ctx.elements()], (m, poly, a)
+    for m, poly in NON_PRIMITIVE.items():
+        ctx = GF2m(m, poly)
+        assert ctx.power(2, (1 << m) - 1) == 1
+        assert any(ctx.power(2, e) == 1 for e in range(1, (1 << m) - 1))
 
 
 def test_trace_coordinates_bits():
