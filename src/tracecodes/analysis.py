@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .codes import (
     BinaryLinearCode,
@@ -22,10 +22,7 @@ from .codes import (
     minimum_distance,
 )
 from .field import GF2m
-from .walsh import TooLargeError, walsh_hadamard
-
-BRUTE_MINIMAL_MAX_DIM = 14
-
+from .walsh import walsh_hadamard
 
 class DualCounts(NamedTuple):
     weight1: int
@@ -50,49 +47,6 @@ def pless_dual_counts(wd: WeightDistribution, n: int, k: int, q: int = 2) -> Dua
         if val.denominator != 1 or val < 0:
             raise ValueError(f"inconsistent distribution: {name} dual count solves to {val}")
     return DualCounts(int(a1), int(a2))
-
-
-def row_reduce(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
-    """RREF over GF(2) for rows given as bitmasks on n columns.
-
-    Returns (nonzero reduced rows, pivot column indices).
-    """
-    work = list(rows)
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> col) & 1:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work[:r], pivots
-
-
-def matrix_rank(rows: Sequence[int], n: int) -> int:
-    return len(row_reduce(rows, n)[1])
-
-
-def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
-    """Basis of the orthogonal complement, via the standard RREF construction."""
-    reduced, pivots = row_reduce(code.rows, code.n)
-    pivot_set = set(pivots)
-    rows = []
-    for free in range(code.n):
-        if free in pivot_set:
-            continue
-        v = 1 << free
-        for i, p in enumerate(pivots):
-            if (reduced[i] >> free) & 1:
-                v |= 1 << p
-        rows.append(v)
-    return BinaryLinearCode(n=code.n, k=len(rows), rows=tuple(rows), provenance=None)
 
 
 def is_projective(code: BinaryLinearCode) -> bool:
@@ -179,32 +133,6 @@ def is_minimal(code: BinaryLinearCode) -> bool:
     """Exact minimality from the code's weight spectrum; see `spectrum_minimal`."""
     spectrum = code_spectrum(code)
     return spectrum_minimal(spectrum, spectrum.distribution())
-
-
-def brute_minimal(code: BinaryLinearCode) -> bool:
-    """Exhaustive minimality check: no nonzero codeword's support strictly contains another's.
-
-    The test oracle for `spectrum_minimal`.  Containment between distinct
-    binary words forces strictly smaller weight, so only pairs from
-    different weight classes are compared; the zero word that a
-    rank-deficient matrix gives a nonzero message is skipped.
-    """
-    if code.k > BRUTE_MINIMAL_MAX_DIM:
-        raise TooLargeError(f"dimension {code.k} exceeds brute-force cap {BRUTE_MINIMAL_MAX_DIM}")
-    by_weight: dict[int, list[int]] = {}
-    word = 0
-    for i in range(1, 1 << code.k):
-        word ^= code.rows[(i & -i).bit_length() - 1]
-        if word:
-            by_weight.setdefault(word.bit_count(), []).append(word)
-    weights = sorted(by_weight)
-    for lo_idx, wlo in enumerate(weights):
-        for whi in weights[lo_idx + 1 :]:
-            for small in by_weight[wlo]:
-                for big in by_weight[whi]:
-                    if small & ~big == 0:
-                        return False
-    return True
 
 
 def closed_form_distribution(family: int, m: int) -> WeightDistribution:

@@ -1,21 +1,20 @@
-"""Character sums over GF(2^m), by transform and by brute force, and their closed forms.
+"""Character sums over GF(2^m), by transform, and their closed forms.
 
 Every sum here is an exact integer: summands are (-1)^t with t a trace bit.
 The conformance sweep reads every (a, b) from one Walsh-Hadamard transform
-per sum of the family's generator columns (`codes.defining_columns`); the
-plain double loops over (x, y) with x nonzero are kept as the oracles the
-tests pin those tables to.  Closed forms with a genuinely undetermined
-sign return both candidates, and conformance means membership.
+per sum of the family's generator columns (`codes.defining_columns`).
+Closed forms with a genuinely undetermined sign return both candidates,
+and conformance means membership.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
-from .codes import defining_columns, enumerate_defining_set, membership_form
-from .field import FieldElement, GF2m, mul_row, trace_table
+from .codes import defining_columns, enumerate_defining_set
+from .field import FieldElement, GF2m, trace_table
 from .walsh import walsh_hadamard, zero_vector
 
 
@@ -47,31 +46,11 @@ class CoefficientSets(NamedTuple):
     units_except_one: frozenset[int]  # z^2 + (a+1)*z has a nonzero root iff a != 1
 
 
-def reciprocal_quadratic_roots(ctx: GF2m, a: FieldElement) -> frozenset[int]:
-    """Nonzero roots of z^2 + a*z + 1, found by scanning all units.
-
-    Either empty or an inverse pair {r, 1/r} with r + 1/r = a.
-    """
-    if a == 0:
-        raise ValueError("coefficient must be nonzero")
-    row_a = mul_row(ctx, a)
-    return frozenset(r for r in ctx.units() if ctx.mul(r, r) ^ row_a[r] ^ 1 == 0)
-
-
 @lru_cache(maxsize=None)
 def coefficient_sets(ctx: GF2m) -> CoefficientSets:
     recip = frozenset(r ^ ctx.inv(r) for r in ctx.units() if r != 1)
     units = frozenset(a for a in ctx.units() if a != 1)
     return CoefficientSets(reciprocal_sums=recip, units_except_one=units)
-
-
-def trace_pair_count(ctx: GF2m, subset: Iterable[FieldElement], bit: int) -> int:
-    """|{(e, b) in subset x units : trace(e*b) = bit}| by direct count."""
-    members = set(subset)
-    if 0 in members:
-        raise ValueError("subset must contain nonzero elements only")
-    tr = trace_table(ctx)
-    return sum(1 for e in members for eb in mul_row(ctx, e)[1:] if tr[eb] == bit)
 
 
 def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
@@ -91,37 +70,6 @@ def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
         for c in defining_columns(ctx, enumerate_defining_set(ctx, family)):
             counts[c] += 2
     return walsh_hadamard(counts)
-
-
-def plain_char_sum(ctx: GF2m, a: FieldElement, b: FieldElement) -> int:
-    """sum over x != 0, all y of (-1)^trace(a*x*y + b*x)."""
-    tr = trace_table(ctx)
-    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
-    q = ctx.size
-    total = 0
-    for x in range(1, q):
-        bx = row_b[x]
-        ones = sum([tr[axy ^ bx] for axy in mul_row(ctx, row_a[x])])
-        total += q - 2 * ones
-    return total
-
-
-def family_char_sum(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> int:
-    """sum over x != 0, all y of (-1)^(trace(u*y + c) + trace(a*x*y + b*x)).
-
-    trace(u*y + c) is the family's membership condition (`membership_form`);
-    by additivity of the trace each x needs one row, that of u + a*x.
-    """
-    tr = trace_table(ctx)
-    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
-    q = ctx.size
-    total = 0
-    for x in range(1, q):
-        u, c = membership_form(ctx, family, x)
-        shift = c ^ row_b[x]
-        ones = sum([tr[z ^ shift] for z in mul_row(ctx, u ^ row_a[x])])
-        total += q - 2 * ones
-    return total
 
 
 def _require_nonzero_pair(a: FieldElement, b: FieldElement) -> None:

@@ -20,7 +20,7 @@ from .analysis import VerificationReport, verify
 from .charsums import conformance_sweep
 from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
 from .field import GF2m
-from .sumsets import VARIANTS, build_omega, check_sum_set
+from .sumsets import VARIANTS, OmegaSet, build_omega, check_sum_set
 from .walsh import TooLargeError
 
 
@@ -146,23 +146,41 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
     return 0 if mismatch_count == 0 else 1
 
 
+def _require_printable_counts(omega: OmegaSet, s: int) -> None:
+    """Refuse an s whose counts could not be printed under the int-to-str digit limit.
+
+    Each printed count is at most size^s < 2^(s * bit_length(size)), and a
+    number below 2^bits has at most bits * 0.30103 + 1 decimal digits.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    bits = s * omega.size.bit_length()
+    digits = bits * 30103 // 100000 + 1
+    if limit and digits > limit:
+        raise TooLargeError(
+            f"s = {s} over {omega.size} points: printed counts estimated at {bits} bits"
+            f" (s * bit_length(size)), up to {digits} decimal digits, over the interpreter's"
+            f" {limit}-digit limit for converting an int to text"
+        )
+
+
 def _cmd_sumset(args: argparse.Namespace) -> int:
     if args.family == 2 and args.m % 2 == 0:
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
         return 2
     ctx = GF2m(args.m)
     variants = list(VARIANTS) if args.variant == "both" else [args.variant]
-    reports = []
+    batch = []
     for variant in variants:
         base = build_omega(ctx, args.family, variant)
         if args.zero == "both":
-            batch = [base.with_zero(False), base.with_zero(True)]
+            batch += [base.with_zero(False), base.with_zero(True)]
         elif args.zero == "as-built":
-            batch = [base]
+            batch.append(base)
         else:
-            batch = [base.with_zero(args.zero == "with")]
-        for omega in batch:
-            reports.append(check_sum_set(omega, args.s))
+            batch.append(base.with_zero(args.zero == "with"))
+    for omega in batch:
+        _require_printable_counts(omega, args.s)
+    reports = [check_sum_set(omega, args.s) for omega in batch]
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -61,12 +61,6 @@ def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldEleme
     raise ValueError(f"family must be one of {FAMILIES}, got {family}")
 
 
-def membership_element(ctx: GF2m, family: int, x: FieldElement, y: FieldElement) -> FieldElement:
-    """The field element whose trace decides membership of (x, y)."""
-    u, c = membership_form(ctx, family, x)
-    return ctx.mul(u, y) ^ c
-
-
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
     """All qualifying pairs in ascending (x, y) order, one multiplication row per x."""
     tr = trace_table(ctx)
@@ -90,17 +84,6 @@ def defining_columns(ctx: GF2m, dset: DefiningSet) -> list[int]:
         row, high = mul_row(ctx, x), coords[x] << ctx.m
         columns.extend(coords[row[y]] | high for _, y in group)
     return columns
-
-
-def codeword(ctx: GF2m, dset: DefiningSet, a: FieldElement, b: FieldElement) -> int:
-    """Packed evaluation of trace(a*x*y + b*x) over the defining set."""
-    tr = trace_table(ctx)
-    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
-    bits = []
-    for x, group in groupby(dset.pairs, key=itemgetter(0)):
-        row_ax, bx = mul_row(ctx, row_a[x]), row_b[x]
-        bits.extend("01"[tr[row_ax[y] ^ bx]] for _, y in group)
-    return int("".join(reversed(bits)) or "0", 2)
 
 
 def transpose(vectors: Sequence[int], width: int) -> list[int]:
@@ -190,8 +173,3 @@ def matrix_text(code: BinaryLinearCode) -> str:
     return "\n".join(
         "".join("1" if (row >> i) & 1 else "0" for i in range(code.n)) for row in code.rows
     )
-
-
-def distribution_json_dict(code: BinaryLinearCode, wd: WeightDistribution) -> dict:
-    """JSON-ready export {"n": ..., "k": ..., "counts": {weight: count}}."""
-    return {"n": code.n, "k": code.k, "counts": {str(w): c for w, c in sorted(wd.items())}}

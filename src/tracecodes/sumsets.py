@@ -1,8 +1,8 @@
-"""XOR s-fold representation counts for derived point sets, via transform and by brute force.
+"""XOR s-fold representation counts for derived point sets, by one transform.
 
 A point set lives in F_2^K with vectors packed as K-bit ints.  The s-fold
-count at h is the number of ordered s-tuples of members XORing to h; the
-fast route is a Walsh-Hadamard transform, pointwise s-th power, inverse
+count at h is the number of ordered s-tuples of members XORing to h,
+computed by a Walsh-Hadamard transform, pointwise s-th power, inverse
 transform.  The set is an s-sum set when the count is one constant on the
 nonzero members and another constant on the nonzero non-members, with the
 count at zero reported separately.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
 
 from .codes import WeightDistribution, defining_columns, enumerate_defining_set
 from .field import GF2m, mul_row, trace_coordinates
@@ -122,48 +121,6 @@ def representation_counts(omega: OmegaSet, s: int) -> list[int]:
     if any(g & ((1 << omega.ambient_dim) - 1) for g in back):
         raise AssertionError("inverse transform did not divide evenly")
     return [g >> omega.ambient_dim for g in back]
-
-
-def representation_counts_naive(omega: OmegaSet, s: int) -> list[int]:
-    """Same counts by looping over all |set|^s ordered tuples.  Oracle only."""
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    members = sorted(omega.vectors)
-    if omega.include_zero:
-        members.append(0)
-    counts = [0] * (1 << omega.ambient_dim)
-    for tup in itertools.product(members, repeat=s):
-        acc = 0
-        for v in tup:
-            acc ^= v
-        counts[acc] += 1
-    return counts
-
-
-def xor_convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Quadratic-time XOR convolution, for cross-checking the transform route."""
-    if len(f) != len(g):
-        raise ValueError("lengths differ")
-    out = [0] * len(f)
-    for u, fu in enumerate(f):
-        if fu:
-            for v, gv in enumerate(g):
-                if gv:
-                    out[u ^ v] += fu * gv
-    return out
-
-
-def representation_counts_by_convolution(omega: OmegaSet, s: int) -> list[int]:
-    """Same counts by folding the indicator with quadratic XOR convolutions.
-
-    Transform-free second oracle; usable where the tuple loop is not.
-    """
-    if s < 1:
-        raise ValueError("s must be at least 1")
-    counts = ind = _indicator(omega)
-    for _ in range(s - 1):
-        counts = xor_convolve(counts, ind)
-    return counts
 
 
 @dataclass(frozen=True)

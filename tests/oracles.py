@@ -1,0 +1,217 @@
+"""Brute-force oracles the tests pin the package's exact routes to, and shared helpers.
+
+Each oracle recomputes a result by direct enumeration, with no
+Walsh-Hadamard transform, so it is independent of the route it checks.
+None of them is used by the package itself.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections import Counter
+from functools import cache
+from operator import itemgetter
+from typing import Iterable, Iterator, Sequence
+
+from tracecodes.codes import (
+    BinaryLinearCode,
+    DefiningSet,
+    enumerate_defining_set,
+    generator_matrix,
+    membership_form,
+)
+from tracecodes.field import FieldElement, GF2m, is_irreducible, mul_row, trace_table
+from tracecodes.sumsets import OmegaSet
+from tracecodes.walsh import TooLargeError
+
+BRUTE_MINIMAL_MAX_DIM = 14
+
+
+def largest_irreducible(m: int) -> int:
+    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m))
+
+
+def family_code(family: int, m: int, poly: int = 0) -> BinaryLinearCode:
+    ctx = GF2m(m, poly)
+    return generator_matrix(ctx, enumerate_defining_set(ctx, family))
+
+
+def membership_element(ctx: GF2m, family: int, x: FieldElement, y: FieldElement) -> FieldElement:
+    """The field element whose trace decides membership of (x, y)."""
+    u, c = membership_form(ctx, family, x)
+    return ctx.mul(u, y) ^ c
+
+
+def codeword(ctx: GF2m, dset: DefiningSet, a: FieldElement, b: FieldElement) -> int:
+    """Packed evaluation of trace(a*x*y + b*x) over the defining set."""
+    tr = trace_table(ctx)
+    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
+    bits = []
+    for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
+        row_ax, bx = mul_row(ctx, row_a[x]), row_b[x]
+        bits.extend("01"[tr[row_ax[y] ^ bx]] for _, y in group)
+    return int("".join(reversed(bits)) or "0", 2)
+
+
+def gray_codewords(code: BinaryLinearCode) -> Iterator[int]:
+    """The codeword of every message, message 0 first, by Gray-code enumeration.
+
+    Consecutive Gray indices differ in one bit, so each codeword is the
+    previous one XOR one row.
+    """
+    word = 0
+    yield word
+    for i in range(1, 1 << code.k):
+        word ^= code.rows[(i & -i).bit_length() - 1]
+        yield word
+
+
+def gray_weight_distribution(code: BinaryLinearCode) -> dict[int, int]:
+    """Weight distribution over all 2^k messages, one codeword at a time."""
+    return dict(sorted(Counter(word.bit_count() for word in gray_codewords(code)).items()))
+
+
+def row_reduce(rows: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """RREF over GF(2) for rows given as bitmasks on n columns.
+
+    Returns (nonzero reduced rows, pivot column indices).
+    """
+    work = list(rows)
+    pivots: list[int] = []
+    r = 0
+    for col in range(n):
+        pivot_row = next((i for i in range(r, len(work)) if (work[i] >> col) & 1), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> col) & 1:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+        if r == len(work):
+            break
+    return work[:r], pivots
+
+
+def matrix_rank(rows: Sequence[int], n: int) -> int:
+    return len(row_reduce(rows, n)[1])
+
+
+def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
+    """Basis of the orthogonal complement, via the standard RREF construction."""
+    reduced, pivots = row_reduce(code.rows, code.n)
+    pivot_set = set(pivots)
+    rows = []
+    for free in range(code.n):
+        if free in pivot_set:
+            continue
+        v = 1 << free
+        for i, p in enumerate(pivots):
+            if (reduced[i] >> free) & 1:
+                v |= 1 << p
+        rows.append(v)
+    return BinaryLinearCode(n=code.n, k=len(rows), rows=tuple(rows), provenance=None)
+
+
+@cache  # several tests ask about the same k = 12 codes
+def brute_minimal(code: BinaryLinearCode) -> bool:
+    """Exhaustive minimality check: no nonzero codeword's support strictly contains another's.
+
+    The oracle for `analysis.spectrum_minimal`.  Containment between
+    distinct binary words forces strictly smaller weight, so only pairs
+    from different weight classes are compared; the zero word that a
+    rank-deficient matrix gives a nonzero message is skipped.
+    """
+    if code.k > BRUTE_MINIMAL_MAX_DIM:
+        raise TooLargeError(f"dimension {code.k} exceeds brute-force cap {BRUTE_MINIMAL_MAX_DIM}")
+    by_weight: dict[int, list[int]] = {}
+    for word in gray_codewords(code):
+        if word:
+            by_weight.setdefault(word.bit_count(), []).append(word)
+    weights = sorted(by_weight)
+    for lo_idx, wlo in enumerate(weights):
+        for whi in weights[lo_idx + 1 :]:
+            for small in by_weight[wlo]:
+                for big in by_weight[whi]:
+                    if small & ~big == 0:
+                        return False
+    return True
+
+
+def reciprocal_quadratic_roots(ctx: GF2m, a: FieldElement) -> frozenset[int]:
+    """Nonzero roots of z^2 + a*z + 1, found by scanning all units.
+
+    Either empty or an inverse pair {r, 1/r} with r + 1/r = a.
+    """
+    if a == 0:
+        raise ValueError("coefficient must be nonzero")
+    row_a = mul_row(ctx, a)
+    return frozenset(r for r in ctx.units() if ctx.mul(r, r) ^ row_a[r] ^ 1 == 0)
+
+
+def trace_pair_count(ctx: GF2m, subset: Iterable[FieldElement], bit: int) -> int:
+    """|{(e, b) in subset x units : trace(e*b) = bit}| by direct count."""
+    members = set(subset)
+    if 0 in members:
+        raise ValueError("subset must contain nonzero elements only")
+    tr = trace_table(ctx)
+    return sum(1 for e in members for eb in mul_row(ctx, e)[1:] if tr[eb] == bit)
+
+
+def char_sum(ctx: GF2m, a: FieldElement, b: FieldElement, family: int | None = None) -> int:
+    """sum over x != 0, all y of (-1)^(trace(u*y + c) + trace(a*x*y + b*x)).
+
+    (u, c) is the family's membership form (`codes.membership_form`), or
+    (0, 0) for the plain sum, family None.  By additivity of the trace each
+    x needs one row, that of u + a*x.
+    """
+    tr = trace_table(ctx)
+    row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
+    q = ctx.size
+    total = 0
+    for x in ctx.units():
+        u, c = (0, 0) if family is None else membership_form(ctx, family, x)
+        shift = c ^ row_b[x]
+        total += q - 2 * sum([tr[z ^ shift] for z in mul_row(ctx, u ^ row_a[x])])
+    return total
+
+
+def representation_counts_naive(omega: OmegaSet, s: int) -> list[int]:
+    """s-fold XOR representation counts by looping over all |set|^s ordered tuples."""
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    members = sorted(omega.vectors) + ([0] if omega.include_zero else [])
+    counts = [0] * (1 << omega.ambient_dim)
+    for tup in itertools.product(members, repeat=s):
+        acc = 0
+        for v in tup:
+            acc ^= v
+        counts[acc] += 1
+    return counts
+
+
+def xor_convolve(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Quadratic-time XOR convolution."""
+    if len(f) != len(g):
+        raise ValueError("lengths differ")
+    out = [0] * len(f)
+    for u, fu in enumerate(f):
+        if fu:
+            for v, gv in enumerate(g):
+                if gv:
+                    out[u ^ v] += fu * gv
+    return out
+
+
+def representation_counts_by_convolution(omega: OmegaSet, s: int) -> list[int]:
+    """Same counts by folding the indicator (the 1-fold count) with XOR convolutions.
+
+    A second oracle, usable where the tuple loop is not.
+    """
+    if s < 1:
+        raise ValueError("s must be at least 1")
+    counts = indicator = representation_counts_naive(omega, 1)
+    for _ in range(s - 1):
+        counts = xor_convolve(counts, indicator)
+    return counts

@@ -10,32 +10,26 @@ from __future__ import annotations
 import time
 from functools import lru_cache
 
+from oracles import (
+    brute_minimal,
+    dual_code,
+    family_code,
+    gray_weight_distribution,
+    representation_counts_by_convolution,
+    representation_counts_naive,
+)
 from tracecodes.analysis import (
     ab_minimal,
-    brute_minimal,
     closed_form_distribution,
-    dual_code,
     griesmer_classify,
     is_projective,
     pless_dual_counts,
     verify,
 )
 from tracecodes.charsums import conformance_sweep
-from tracecodes.codes import (
-    enumerate_defining_set,
-    generator_matrix,
-    minimum_distance,
-    weight_distribution,
-)
+from tracecodes.codes import minimum_distance, weight_distribution
 from tracecodes.field import GF2m
-from tracecodes.sumsets import (
-    VARIANTS,
-    build_omega,
-    check_sum_set,
-    representation_counts,
-    representation_counts_by_convolution,
-    representation_counts_naive,
-)
+from tracecodes.sumsets import VARIANTS, build_omega, check_sum_set, representation_counts
 
 NAIVE_TUPLE_LIMIT = 1_000_000
 
@@ -62,8 +56,7 @@ def _verdict(number: int, ok: bool, detail: str = "") -> None:
 
 @lru_cache(maxsize=None)
 def _code(family: int, m: int):
-    ctx = GF2m(m)
-    return generator_matrix(ctx, enumerate_defining_set(ctx, family))
+    return family_code(family, m)
 
 
 @lru_cache(maxsize=None)
@@ -223,15 +216,14 @@ def test_07_sum_set_property_for_some_configuration():
     assert not bad, bad
 
 
-def test_08_invariance_under_polynomial_and_jobs(gray_oracle):
+def test_08_invariance_under_polynomial_and_jobs():
     bad = []
     for family in (1, 2, 3):
         per_poly = []
         for poly in (0b10011, 0b11001):
-            ctx = GF2m(4, poly)
-            code = generator_matrix(ctx, enumerate_defining_set(ctx, family))
+            code = family_code(family, 4, poly)
             per_poly.append(weight_distribution(code))
-            if per_poly[-1] != gray_oracle(code):
+            if per_poly[-1] != gray_weight_distribution(code):
                 bad.append((family, poly, "transform != Gray enumeration"))
         if per_poly[0] != per_poly[1]:
             bad.append((family, "polynomial"))

@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+from oracles import char_sum, reciprocal_quadratic_roots, trace_pair_count
 from tracecodes.charsums import (
     CharSumValue,
     char_sum_table,
     coefficient_sets,
     conformance_sweep,
-    family_char_sum,
     family_char_sum_closed,
-    plain_char_sum,
     plain_char_sum_closed,
-    reciprocal_quadratic_roots,
-    trace_pair_count,
 )
 from tracecodes.field import GF2m
 
@@ -82,13 +79,13 @@ def test_trace_pair_count_closed_form():
 
 def test_plain_char_sum_values():
     gf4 = GF2m(2)
-    assert plain_char_sum(gf4, 0, 1) == -4
-    assert plain_char_sum(gf4, 1, 0) == 0
-    assert plain_char_sum(GF2m(3), 2, 4) == 0
+    assert char_sum(gf4, 0, 1) == -4
+    assert char_sum(gf4, 1, 0) == 0
+    assert char_sum(GF2m(3), 2, 4) == 0
     # all-ones sum at (0,0): every term is +1
     for m in (2, 3, 4):
         ctx = GF2m(m)
-        assert plain_char_sum(ctx, 0, 0) == ((1 << m) - 1) * (1 << m)
+        assert char_sum(ctx, 0, 0) == ((1 << m) - 1) * (1 << m)
 
 
 def test_char_sum_value_api():
@@ -117,34 +114,34 @@ def test_family2_closed_form_rejects_even_m():
     with pytest.raises(ValueError):
         family_char_sum_closed(GF2m(4), 2, 1, 0)
     # the brute-force evaluator still works at even m
-    assert isinstance(family_char_sum(GF2m(4), 2, 1, 0), int)
+    assert isinstance(char_sum(GF2m(4), 1, 0, family=2), int)
 
 
 def test_family1_closed_examples():
     gf4 = GF2m(2)
-    assert family_char_sum(gf4, 1, 1, 0) == 8
+    assert char_sum(gf4, 1, 0, family=1) == 8
     assert family_char_sum_closed(gf4, 1, 1, 0).value == 8
     gf8 = GF2m(3)
-    assert family_char_sum(gf8, 1, 0, 1) == -8  # trace(1)=1 for odd m
+    assert char_sum(gf8, 0, 1, family=1) == -8  # trace(1)=1 for odd m
     assert family_char_sum_closed(gf8, 1, 0, 1).value == -8
     # sign-ambiguous case: a=1 in the reciprocal-sum set, b=1 nonzero, trace(a*b)=0
     closed = family_char_sum_closed(gf4, 1, 1, 1)
     assert closed.ambiguous
     assert closed.candidates == (-8, 8)
-    assert closed.matches(family_char_sum(gf4, 1, 1, 1))
+    assert closed.matches(char_sum(gf4, 1, 1, family=1))
 
 
 def test_family2_closed_examples():
     gf8 = GF2m(3)
     assert family_char_sum_closed(gf8, 2, 0, 1).value == 8  # trace(1)=1
-    assert family_char_sum(gf8, 2, 0, 1) == 8
+    assert char_sum(gf8, 0, 1, family=2) == 8
     sets = coefficient_sets(gf8)
     outside = next(a for a in gf8.units() if a not in sets.reciprocal_sums)
     for b in gf8.elements():
         if (outside, b) == (0, 0):
             continue
         assert family_char_sum_closed(gf8, 2, outside, b).value == 0
-        assert family_char_sum(gf8, 2, outside, b) == 0
+        assert char_sum(gf8, outside, b, family=2) == 0
     inside = min(sets.reciprocal_sums)
     ambiguous = [
         b
@@ -154,23 +151,23 @@ def test_family2_closed_examples():
     for b in ambiguous:
         closed = family_char_sum_closed(gf8, 2, inside, b)
         assert closed.candidates == (-16, 16)
-        assert closed.matches(family_char_sum(gf8, 2, inside, b))
+        assert closed.matches(char_sum(gf8, inside, b, family=2))
 
 
 def test_family3_closed_examples():
     gf4 = GF2m(2)
     assert family_char_sum_closed(gf4, 3, 1, 2).value == 0
-    assert family_char_sum(gf4, 3, 1, 2) == 0
+    assert char_sum(gf4, 1, 2, family=3) == 0
     assert family_char_sum_closed(gf4, 3, 0, 2).value == -4  # trace(w)=1
-    assert family_char_sum(gf4, 3, 0, 2) == -4
+    assert char_sum(gf4, 0, 2, family=3) == -4
     gf8 = GF2m(3)
     assert family_char_sum_closed(gf8, 3, 2, 0).value == 8
-    assert family_char_sum(gf8, 3, 2, 0) == 8
+    assert char_sum(gf8, 2, 0, family=3) == 8
 
 
 def test_family_char_sum_rejects_bad_family():
     with pytest.raises(ValueError):
-        family_char_sum(GF2m(2), 0, 1, 1)
+        char_sum(GF2m(2), 1, 1, family=0)
     with pytest.raises(ValueError):
         family_char_sum_closed(GF2m(2), 9, 1, 1)
 
@@ -188,9 +185,9 @@ def test_transform_tables_match_brute_force_sums():
             for a in ctx.elements():
                 for b in ctx.elements():
                     index = a | b << m
-                    assert tables[None][index] == plain_char_sum(ctx, a, b), (m, poly, a, b)
+                    assert tables[None][index] == char_sum(ctx, a, b), (m, poly, a, b)
                     for family in (1, 2, 3):
-                        want = family_char_sum(ctx, family, a, b)
+                        want = char_sum(ctx, a, b, family=family)
                         assert tables[family][index] == want, (m, poly, family, a, b)
 
 

@@ -144,13 +144,20 @@ def test_sumset_too_large_exits_3(capsys):
 
 
 def test_sumset_huge_s_exits_3_at_once(capsys):
-    # 2^16 spectrum entries of about 16 million bits each would need about 100 GB
-    start = time.monotonic()
-    rc, out, err = run(capsys, "sumset", "--family", "1", "--m", "8", "--s", "1000001")
-    assert rc == 3
-    assert out == ""
-    assert "estimated at" in err and "bits" in err
-    assert time.monotonic() - start < 20.0
+    cases = [
+        # 2^16 spectrum entries of about 16 million bits each would need about 100 GB
+        ("--m", "8", "--s", "1000001"),
+        # a small spectrum, but counts of more digits than int-to-str conversion allows
+        ("--m", "2", "--s", "9999"),
+        ("--m", "2", "--s", "9999", "--format", "json"),
+    ]
+    for argv in cases:
+        start = time.monotonic()
+        rc, out, err = run(capsys, "sumset", "--family", "1", *argv)
+        assert rc == 3, argv
+        assert out == ""
+        assert "estimated at" in err and "bits" in err
+        assert time.monotonic() - start < 20.0
 
 
 def test_sumset_family2_even_m_is_usage_error(capsys):

@@ -4,24 +4,30 @@ from __future__ import annotations
 
 import pytest
 
-from tracecodes.analysis import matrix_rank, verify
-from tracecodes.charsums import family_char_sum, plain_char_sum
+from oracles import (
+    char_sum,
+    codeword,
+    family_code,
+    gray_codewords,
+    gray_weight_distribution,
+    largest_irreducible,
+    matrix_rank,
+    membership_element,
+)
+from tracecodes.analysis import verify
 from tracecodes.codes import (
     BinaryLinearCode,
     TooLargeError,
     code_spectrum,
-    codeword,
     defining_columns,
-    distribution_json_dict,
     enumerate_defining_set,
     generator_columns,
     generator_matrix,
     matrix_text,
-    membership_element,
     minimum_distance,
     weight_distribution,
 )
-from tracecodes.field import GF2m, is_irreducible, trace_coordinates
+from tracecodes.field import GF2m, trace_coordinates
 
 # exact distributions, checked against the closed forms elsewhere
 TABLE_ROWS = {
@@ -56,10 +62,6 @@ def test_defining_set_sizes():
             assert size2 == (1 << m) * ((1 << (m - 1)) - 1)
         else:
             assert size2 == 1 << (2 * m - 1)
-
-
-def largest_irreducible(m: int) -> int:
-    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m))
 
 
 def test_defining_set_membership_and_order():
@@ -139,7 +141,7 @@ def test_weight_equals_character_sum_combination():
     # two relevant exponential sums, for every coefficient pair
     for m in (2, 3, 4, 5):
         ctx = GF2m(m)
-        plain = {(a, b): plain_char_sum(ctx, a, b) for a in ctx.elements() for b in ctx.elements()}
+        plain = {(a, b): char_sum(ctx, a, b) for a in ctx.elements() for b in ctx.elements()}
         for family in (1, 2, 3):
             dset = enumerate_defining_set(ctx, family)
             half = len(dset) // 2
@@ -149,7 +151,7 @@ def test_weight_equals_character_sum_combination():
                     if (a, b) == (0, 0):
                         continue
                     s_plain = plain[a, b]
-                    s_fam = family_char_sum(ctx, family, a, b)
+                    s_fam = char_sum(ctx, a, b, family=family)
                     assert (s_plain + s_fam) % 4 == 0
                     wt = codeword(ctx, dset, a, b).bit_count()
                     assert wt == half - (s_plain + s_fam) // 4
@@ -175,54 +177,40 @@ def test_generator_matrix_shape_and_rows():
 def test_generator_matrix_full_rank():
     for family in (1, 2, 3):
         for m in (2, 3, 4):
-            ctx = GF2m(m)
-            code = generator_matrix(ctx, enumerate_defining_set(ctx, family))
+            code = family_code(family, m)
             assert matrix_rank(code.rows, code.n) == 2 * m
 
 
 def test_row_space_size():
-    ctx = GF2m(2)
-    code = generator_matrix(ctx, enumerate_defining_set(ctx, 1))
-    words = set()
-    for mask in range(1 << code.k):
-        w = 0
-        for i in range(code.k):
-            if (mask >> i) & 1:
-                w ^= code.rows[i]
-        words.add(w)
+    words = set(gray_codewords(family_code(1, 2)))
     assert len(words) == 1 << (2 * 2)
 
 
 def test_weight_distribution_table_rows():
     for (family, m), expected in TABLE_ROWS.items():
-        ctx = GF2m(m)
-        code = generator_matrix(ctx, enumerate_defining_set(ctx, family))
-        assert weight_distribution(code) == expected
+        assert weight_distribution(family_code(family, m)) == expected
 
 
 def test_weight_distribution_total_and_zero():
     for family in (1, 2, 3):
-        ctx = GF2m(3)
-        code = generator_matrix(ctx, enumerate_defining_set(ctx, family))
+        code = family_code(family, 3)
         wd = weight_distribution(code)
         assert sum(wd.values()) == 1 << code.k
         assert wd[0] == 1
 
 
-def test_weight_distribution_matches_gray_oracle(gray_oracle):
+def test_weight_distribution_matches_gray_oracle():
     for m in range(2, 9):
-        ctx = GF2m(m)
         for family in (1, 2, 3):
-            code = generator_matrix(ctx, enumerate_defining_set(ctx, family))
-            assert weight_distribution(code) == gray_oracle(code), (family, m)
+            code = family_code(family, m)
+            assert weight_distribution(code) == gray_weight_distribution(code), (family, m)
     # external codes: a repeated row gives the zero word a second message
-    ctx = GF2m(3)
-    rows = generator_matrix(ctx, enumerate_defining_set(ctx, 1)).rows
+    rows = family_code(1, 3).rows
     repeated = BinaryLinearCode(n=32, k=7, rows=rows + rows[:1])
     empty = BinaryLinearCode(n=3, k=0, rows=())
     zero_col = BinaryLinearCode(n=3, k=2, rows=(0b110, 0b100))
     for code in (repeated, empty, zero_col):
-        assert weight_distribution(code) == gray_oracle(code)
+        assert weight_distribution(code) == gray_weight_distribution(code)
     assert weight_distribution(repeated)[0] == 2
     assert weight_distribution(empty) == {0: 1}
 
@@ -239,9 +227,7 @@ def test_generator_columns_and_counts():
         BinaryLinearCode(n=4, k=2, rows=(0b1011, 0b1100)),
         BinaryLinearCode(n=5, k=3, rows=(0, 0b10000, 0b00001)),
     ]
-    for family, m in ((1, 2), (2, 3), (3, 4)):
-        ctx = GF2m(m)
-        codes.append(generator_matrix(ctx, enumerate_defining_set(ctx, family)))
+    codes += [family_code(family, m) for family, m in ((1, 2), (2, 3), (3, 4))]
     for code in codes:
         cols = generator_columns(code)
         assert cols == bitwise_columns(code)
@@ -260,18 +246,14 @@ def test_weight_distribution_guard():
 
 def test_even_m_family2_matches_family1():
     for m in (2, 4):
-        ctx = GF2m(m)
-        wd1 = weight_distribution(generator_matrix(ctx, enumerate_defining_set(ctx, 1)))
-        wd2 = weight_distribution(generator_matrix(ctx, enumerate_defining_set(ctx, 2)))
-        assert wd1 == wd2
+        assert weight_distribution(family_code(1, m)) == weight_distribution(family_code(2, m))
 
 
 def test_distribution_invariant_under_reduction_polynomial():
     for family in (1, 2, 3):
         wds = []
         for poly in (0b10011, 0b11001, 0b11111):  # 0b11111 is not primitive: x^5 = 1
-            ctx = GF2m(4, poly)
-            wds.append(weight_distribution(generator_matrix(ctx, enumerate_defining_set(ctx, family))))
+            wds.append(weight_distribution(family_code(family, 4, poly)))
         assert wds[0] == wds[1] == wds[2]
 
 
@@ -284,8 +266,7 @@ def test_minimum_distance():
 
 
 def test_matrix_text_layout():
-    ctx = GF2m(2)
-    code = generator_matrix(ctx, enumerate_defining_set(ctx, 1))
+    code = family_code(1, 2)
     text = matrix_text(code)
     lines = text.splitlines()
     assert len(lines) == code.k
@@ -293,11 +274,3 @@ def test_matrix_text_layout():
     # column 0 is printed first: line i starts with bit 0 of row i
     for i, line in enumerate(lines):
         assert line[0] == str(code.rows[i] & 1)
-
-
-def test_distribution_json_dict():
-    ctx = GF2m(2)
-    code = generator_matrix(ctx, enumerate_defining_set(ctx, 1))
-    wd = weight_distribution(code)
-    payload = distribution_json_dict(code, wd)
-    assert payload == {"n": 8, "k": 4, "counts": {"0": 1, "2": 1, "4": 11, "6": 3}}
