@@ -19,10 +19,11 @@ from .codes import (
     column_spectrum,
     defining_columns,
     enumerate_defining_set,
+    hyperplane_distribution,
     minimum_distance,
 )
-from .field import GF2m
-from .walsh import walsh_hadamard
+from .field import GF2m, trace_coordinates
+from .walsh import check_dimension, walsh_hadamard
 
 class DualCounts(NamedTuple):
     weight1: int
@@ -206,13 +207,27 @@ class VerificationReport:
         }
 
 
+def _distinct_nonzero_columns(ctx: GF2m) -> bool:
+    """The column half of projectivity for a family code, from a q-entry table.
+
+    (x, y) -> (x*y, x) is injective for x != 0, so the columns
+    coords(x*y) | coords(x) << m of distinct pairs are distinct, and nonzero
+    (coords(x) != 0), exactly when `trace_coordinates` is injective.
+    """
+    return len(set(trace_coordinates(ctx))) == ctx.size
+
+
 def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     """Build the family's code and check every claimed property exactly.
 
-    The counts of the defining set's columns (`defining_columns`; no
-    generator rows are built) and their one transform give the weights, the
-    column half of projectivity and the exact minimality verdict
-    (`brute_minimal` in the report, decided by `spectrum_minimal` at every size).
+    The weights come from the per-x hyperplane counts
+    (`hyperplane_distribution`, O(q); no generator rows or column vector):
+    full rank iff only message 0 has weight 0, dual counts by Pless, and the
+    column half of projectivity from the injectivity of `trace_coordinates`.
+    The exact minimality verdict (`brute_minimal` in the report) is true
+    when `minimality_triples` finds no triple (every family code at m >= 4);
+    otherwise `spectrum_minimal` decides it from the defining set's column
+    spectrum, under the transform guard.
 
     ok means: weight distribution matches the applicable closed form, the
     code is projective by both routes, and for m >= 3 the sufficient
@@ -224,9 +239,10 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     coincidence, and a note records that reading.
     """
     ctx = GF2m(m, poly)
-    spectrum = column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), 2 * m)
-    n, k = spectrum.n, spectrum.k
-    wd = spectrum.distribution()
+    n, wd = hyperplane_distribution(ctx, family)
+    k = 2 * m
+    if wd.get(0) != 1:
+        raise ValueError(f"generator matrix is rank deficient (k={k})")
     d = minimum_distance(wd)
     notes: list[str] = []
 
@@ -238,14 +254,18 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     table_match = wd == expected
 
     duals = pless_dual_counts(wd, n, k)
-    projective_cols = spectrum_projective(spectrum)
+    projective_cols = _distinct_nonzero_columns(ctx)
     projective = projective_cols and duals == (0, 0)
     if projective_cols != (duals == (0, 0)):
         notes.append("column check and dual-count check disagree on projectivity")
 
     gries = griesmer_classify(n, k, d)
     abm = ab_minimal(wd)
-    minimal = spectrum_minimal(spectrum, wd)
+    minimal = True
+    if minimality_triples(wd):
+        check_dimension(k)  # before the q^2/2 pairs are listed
+        spectrum = column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), k)
+        minimal = spectrum_minimal(spectrum, wd)
 
     minimal_ok = True
     if m >= 3:

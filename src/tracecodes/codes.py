@@ -5,9 +5,11 @@ For fixed x each family's trace condition is affine in y, trace(u*y + c) = 0;
 `membership_form` is the one place the three conditions are written, and
 `defining_columns` the one place a pair becomes its generator column
 coords(x*y) | coords(x) << m.  Codeword (a, b) evaluates trace(a*x*y + b*x)
-over the pairs and is a packed int (bit i = coordinate of pair i).  Weights
-come from the Walsh spectrum of the column counts, which `Spectrum` keeps
-for the projectivity and minimality verdicts too.
+over the pairs and is a packed int (bit i = coordinate of pair i).  A
+family's weights come in O(q) from counting, per x, the ones of each
+codeword over that x's hyperplane of y's (`hyperplane_distribution`); a
+lone code's come from the Walsh spectrum of its column counts, which
+`Spectrum` keeps for the projectivity and minimality verdicts too.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
 
-from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table
+from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table, unit_inverses
 from .walsh import TooLargeError, walsh_hadamard, zero_vector  # TooLargeError re-exported
 
 FAMILIES = (1, 2, 3)
@@ -59,6 +61,62 @@ def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldEleme
     if family == 3:
         return xx ^ x, 0
     raise ValueError(f"family must be one of {FAMILIES}, got {family}")
+
+
+def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribution]:
+    """Length n and exact weight distribution of the family's code, in O(q).
+
+    For x != 0 with (u, c) = `membership_form`, the y of x form the set
+    Y_x = {y : trace(u*y + c) = 0}, and codeword (a, b) has ones over Y_x:
+    - u = 0: Y_x is every y if trace(c) = 0, else empty; |Y_x|/2 ones for
+      a != 0 and |Y_x| * trace(b*x) for a = 0;
+    - a = 0: (q/2) * trace(b*x);
+    - a*x = u: (q/2) * [trace(c) + trace(b*x) = 1];
+    - otherwise q/4, since a*x and u are then independent over F_2.
+    So for a != 0 the weight depends on b only through the bits trace(b*x)
+    at the x of R_a = {x : u != 0, u*x^-1 = a}, whose values over b are the
+    image of a linear map, each hit q / 2^rank times; for a = 0 only through
+    trace(b*x) at the x with u = 0.  Counts are over all q^2 messages.
+    """
+    q, half, quarter = ctx.size, ctx.size >> 1, ctx.size >> 2
+    tr, coords = trace_table(ctx), trace_coordinates(ctx)
+    inverses = unit_inverses(ctx)
+    special: dict[FieldElement, list[tuple[FieldElement, int]]] = {}  # a -> R_a with trace(c)
+    flat: list[tuple[FieldElement, int]] = []  # the x with u = 0, with trace(c)
+    for x in ctx.units():
+        u, c = membership_form(ctx, family, x)
+        if u:
+            special.setdefault(ctx.mul(u, inverses[x]), []).append((x, tr[c]))
+        else:
+            flat.append((x, tr[c]))
+    sloped = q - 1 - len(flat)
+    full = sum(1 for _, t in flat if not t)  # the x whose Y_x is every y
+    n = sloped * half + full * q
+
+    wd: Counter[int] = Counter()
+    # a = 0: the x != 0 would add half * trace(b*x), (q/2)^2 in all for b != 0,
+    # but an x with u = 0 adds |Y_x| * trace(b*x) instead
+    zero_row = [half * half] * q
+    zero_row[0] = 0
+    for x, t in flat:
+        step = (0 if t else q) - half
+        for b, bx in enumerate(mul_row(ctx, x)):
+            if tr[bx]:
+                zero_row[b] += step
+    wd.update(zero_row)
+    # a != 0: every x off R_a adds q/4 (or q/2 when u = 0 and Y_x is every y)
+    base = full * half + sloped * quarter
+    wd[base] += (q - 1 - len(special)) * q
+    for xs in special.values():
+        span = {0}
+        for row in transpose([coords[x] for x, _ in xs], ctx.m):  # the bits at b = x^j
+            if row not in span:
+                span |= {v ^ row for v in span}
+        target = sum(t << i for i, (_, t) in enumerate(xs))
+        offset, copies = base - len(xs) * quarter, q // len(span)
+        for v in span:
+            wd[offset + half * (v ^ target).bit_count()] += copies
+    return n, {w: count for w, count in sorted(wd.items()) if count}
 
 
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:

@@ -127,8 +127,35 @@ class GF2m:
 
 @lru_cache(maxsize=None)
 def trace_table(ctx: GF2m) -> tuple[int, ...]:
-    """trace(z) for every z, indexed by element bitmask."""
-    return tuple(ctx.trace(z) for z in ctx.elements())
+    """trace(z) for every z, indexed by element bitmask, from m traces.
+
+    The trace is F_2-linear, so the table over z < 2^(j+1) is the table over
+    z < 2^j followed by that table XOR trace(x^j).
+    """
+    table = [0]
+    for j in range(ctx.m):
+        bit = ctx.trace(1 << j)
+        table += [t ^ bit for t in table]
+    return tuple(table)
+
+
+def unit_inverses(ctx: GF2m) -> list[int]:
+    """x^-1 for every unit x, indexed by x (entry 0 is 0).
+
+    Montgomery's simultaneous inversion: prefix products of the units, one
+    `ctx.inv` of the last, then one backward pass; 3q - 5 products in all.
+    """
+    prefix = [1] * ctx.size  # prefix[x] = 1 * 2 * ... * x
+    acc = 1
+    for x in ctx.units():
+        acc = prefix[x] = ctx.mul(acc, x)
+    inverses = [0] * ctx.size
+    acc = ctx.inv(acc)  # (1 * 2 * ... * x)^-1 for the x about to be inverted
+    for x in range(ctx.size - 1, 1, -1):
+        inverses[x] = ctx.mul(acc, prefix[x - 1])
+        acc = ctx.mul(acc, x)
+    inverses[1] = acc
+    return inverses
 
 
 def mul_row(ctx: GF2m, a: FieldElement) -> list[int]:

@@ -17,10 +17,15 @@ class TooLargeError(Exception):
     """Raised when an exact computation would exceed its desk-scale guard."""
 
 
-def zero_vector(dim: int) -> list[int]:
-    """All-zero vector over F_2^dim, refused beyond the transform guard."""
+def check_dimension(dim: int) -> None:
+    """Refuse a vector over F_2^dim beyond the transform guard."""
     if dim > TRANSFORM_MAX_DIM:
         raise TooLargeError(f"dimension {dim} exceeds transform guard {TRANSFORM_MAX_DIM}")
+
+
+def zero_vector(dim: int) -> list[int]:
+    """All-zero vector over F_2^dim, refused beyond the transform guard."""
+    check_dimension(dim)
     return [0] * (1 << dim)
 
 

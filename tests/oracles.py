@@ -16,6 +16,9 @@ from typing import Iterable, Iterator, Sequence
 from tracecodes.codes import (
     BinaryLinearCode,
     DefiningSet,
+    Spectrum,
+    column_spectrum,
+    defining_columns,
     enumerate_defining_set,
     generator_matrix,
     membership_form,
@@ -34,6 +37,12 @@ def largest_irreducible(m: int) -> int:
 def family_code(family: int, m: int, poly: int = 0) -> BinaryLinearCode:
     ctx = GF2m(m, poly)
     return generator_matrix(ctx, enumerate_defining_set(ctx, family))
+
+
+def family_spectrum(ctx: GF2m, family: int) -> Spectrum:
+    """The transform of the defining set's column counts, the oracle behind
+    `hyperplane_distribution`."""
+    return column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), 2 * ctx.m)
 
 
 def membership_element(ctx: GF2m, family: int, x: FieldElement, y: FieldElement) -> FieldElement:

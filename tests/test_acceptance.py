@@ -27,7 +27,7 @@ from tracecodes.analysis import (
     verify,
 )
 from tracecodes.charsums import conformance_sweep
-from tracecodes.codes import minimum_distance, weight_distribution
+from tracecodes.codes import hyperplane_distribution, minimum_distance, weight_distribution
 from tracecodes.field import GF2m
 from tracecodes.sumsets import VARIANTS, build_omega, check_sum_set, representation_counts
 
@@ -216,7 +216,7 @@ def test_07_sum_set_property_for_some_configuration():
     assert not bad, bad
 
 
-def test_08_invariance_under_polynomial_and_jobs():
+def test_08_invariance_under_reduction_polynomial():
     bad = []
     for family in (1, 2, 3):
         per_poly = []
@@ -225,10 +225,17 @@ def test_08_invariance_under_polynomial_and_jobs():
             per_poly.append(weight_distribution(code))
             if per_poly[-1] != gray_weight_distribution(code):
                 bad.append((family, poly, "transform != Gray enumeration"))
+            if hyperplane_distribution(GF2m(4, poly), family) != (code.n, per_poly[-1]):
+                bad.append((family, poly, "hyperplane counts != transform"))
         if per_poly[0] != per_poly[1]:
             bad.append((family, "polynomial"))
     ok = not bad
-    _verdict(8, ok, "3 families stable under reduction polynomial; transform == Gray enumeration")
+    _verdict(
+        8,
+        ok,
+        "3 families stable under reduction polynomial; "
+        "transform == Gray enumeration == hyperplane counts",
+    )
     assert not bad, bad
 
 

@@ -6,10 +6,14 @@ import random
 
 import pytest
 
+import tracecodes.analysis as analysis
+import tracecodes.codes as codes
+import tracecodes.walsh as walsh
 from oracles import (
     brute_minimal,
     dual_code,
     family_code,
+    family_spectrum,
     gray_codewords,
     largest_irreducible,
     matrix_rank,
@@ -25,6 +29,7 @@ from tracecodes.analysis import (
     is_projective,
     minimality_triples,
     pless_dual_counts,
+    spectrum_projective,
     verify,
 )
 from tracecodes.codes import (
@@ -34,6 +39,7 @@ from tracecodes.codes import (
     minimum_distance,
     weight_distribution,
 )
+from tracecodes.field import GF2m
 
 
 def test_pless_dual_counts_examples():
@@ -225,6 +231,53 @@ def test_verify_decides_minimality_beyond_the_oracle():
             assert report.brute_minimal is True, (family, m)
             assert report.ab_minimal
             assert not any("skipped" in note for note in report.notes), report.notes
+
+
+def test_verify_past_the_transform_guard():
+    for m in range(9, 13):
+        for family in (1, 2, 3):
+            report = verify(family, m)
+            assert report.ok, (family, m, report.notes)
+            assert report.table_match and report.projective
+            assert report.dual_counts == (0, 0)
+            assert report.brute_minimal is True
+
+
+def test_verify_builds_no_column_vector_without_a_triple(monkeypatch):
+    built = []
+
+    def zero_vector(dim):  # every 2^dim count vector comes from here
+        built.append(dim)
+        assert dim < 8, f"2^{dim}-entry vector built"
+        return [0] * (1 << dim)
+
+    monkeypatch.setattr(walsh, "zero_vector", zero_vector)
+    monkeypatch.setattr(codes, "zero_vector", zero_vector)
+    for m in range(4, 9):
+        for family in (1, 2, 3):
+            assert verify(family, m).brute_minimal is True
+    assert built == []
+    # family 2 at m = 3 has the triple (8, 8, 16): the spectrum decides it
+    assert verify(2, 3).brute_minimal is True
+    assert built == [6]
+
+
+def test_verify_triple_fallback_keeps_the_transform_guard(monkeypatch):
+    monkeypatch.setattr(analysis, "minimality_triples", lambda wd: [(1, 1, 2)])
+    with pytest.raises(TooLargeError, match="transform guard"):
+        verify(1, 11)
+
+
+def test_verify_rejects_a_rank_deficient_code(monkeypatch):
+    # only x = 1 keeps its y's: codewords trace(a*y + b) span m + 1 < 2m dimensions
+    monkeypatch.setattr(codes, "membership_form", lambda ctx, family, x: (0, int(x != 1)))
+    ctx = GF2m(3)
+    assert ctx.trace(1) == 1
+    with pytest.raises(ValueError, match=r"rank deficient \(k=6\)") as raised:
+        verify(1, 3)
+    with pytest.raises(ValueError) as spectrum_raised:
+        spectrum_projective(family_spectrum(ctx, 1))
+    assert str(raised.value) == str(spectrum_raised.value)
 
 
 def test_closed_form_distribution_rows():

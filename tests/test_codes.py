@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from oracles import (
     char_sum,
     codeword,
     family_code,
+    family_spectrum,
     gray_codewords,
     gray_weight_distribution,
     largest_irreducible,
@@ -15,6 +18,8 @@ from oracles import (
     membership_element,
 )
 from tracecodes.analysis import verify
+import tracecodes.codes as codes_module
+from tracecodes.analysis import spectrum_projective
 from tracecodes.codes import (
     BinaryLinearCode,
     TooLargeError,
@@ -23,6 +28,7 @@ from tracecodes.codes import (
     enumerate_defining_set,
     generator_columns,
     generator_matrix,
+    hyperplane_distribution,
     matrix_text,
     minimum_distance,
     weight_distribution,
@@ -213,6 +219,47 @@ def test_weight_distribution_matches_gray_oracle():
         assert weight_distribution(code) == gray_weight_distribution(code)
     assert weight_distribution(repeated)[0] == 2
     assert weight_distribution(empty) == {0: 1}
+
+
+# irreducible but not primitive: x has order 5 and 9 respectively
+NON_PRIMITIVE = {4: 0b11111, 6: 0b1001001}
+
+
+def test_hyperplane_distribution_matches_spectrum_route():
+    for m in range(2, 9):
+        polys = {0, largest_irreducible(m), NON_PRIMITIVE.get(m, 0)}
+        for poly in polys:
+            ctx = GF2m(m, poly)
+            for family in (1, 2, 3):
+                spectrum = family_spectrum(ctx, family)
+                got = hyperplane_distribution(ctx, family)
+                assert got == (spectrum.n, spectrum.distribution()), (family, m, poly)
+                # the column half of projectivity `verify` reads from trace_coordinates
+                assert spectrum_projective(spectrum), (family, m, poly)
+                assert len(set(trace_coordinates(ctx))) == ctx.size
+
+
+def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch):
+    # seeded random forms: many x with u = a0 * x make R_a0 large and linearly
+    # dependent, u = 0 comes with both trace(c) values, and some codes are
+    # rank deficient; both routes read the one patched form
+    rng = random.Random(2024)
+    dependent = 0
+    for trial in range(120):
+        m = 2 + trial % 4
+        ctx = GF2m(m, rng.choice((0, largest_irreducible(m))))
+        a0 = rng.randrange(1, ctx.size)
+        forms = {}
+        for x in ctx.units():
+            draw = rng.random()
+            u = ctx.mul(a0, x) if draw < 0.4 else 0 if draw < 0.55 else rng.randrange(ctx.size)
+            forms[x] = (u, rng.randrange(ctx.size))
+        monkeypatch.setattr(codes_module, "membership_form", lambda ctx, family, x: forms[x])
+        spectrum = family_spectrum(ctx, 1)
+        assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), trial
+        special = [x for x, (u, _) in forms.items() if u == ctx.mul(a0, x) and u]
+        dependent += matrix_rank(special, m) < len(special)
+    assert dependent > 60
 
 
 def bitwise_columns(code):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tracecodes.field import (
@@ -12,6 +14,7 @@ from tracecodes.field import (
     poly_mod,
     trace_coordinates,
     trace_table,
+    unit_inverses,
 )
 
 
@@ -169,6 +172,31 @@ def test_mul_row():
         ctx = GF2m(m, poly)
         assert ctx.power(2, (1 << m) - 1) == 1
         assert any(ctx.power(2, e) == 1 for e in range(1, (1 << m) - 1))
+
+
+def test_trace_table_is_the_trace_at_every_element():
+    for m in range(2, 9):
+        for poly in (DEFAULT_POLYS[m], NON_PRIMITIVE.get(m)):
+            if poly is None:
+                continue
+            ctx = GF2m(m, poly)
+            assert trace_table(ctx) == tuple(ctx.trace(z) for z in ctx.elements()), (m, poly)
+    ctx = GF2m(16)
+    table = trace_table(ctx)
+    assert len(table) == ctx.size
+    for z in random.Random(16).sample(range(ctx.size), 2000):
+        assert table[z] == ctx.trace(z), z
+
+
+def test_unit_inverses():
+    for m in range(2, 9):
+        for poly in (DEFAULT_POLYS[m], NON_PRIMITIVE.get(m)):
+            if poly is None:
+                continue
+            ctx = GF2m(m, poly)
+            inverses = unit_inverses(ctx)
+            assert len(inverses) == ctx.size and inverses[0] == 0
+            assert all(ctx.mul(x, inverses[x]) == 1 for x in ctx.units()), (m, poly)
 
 
 def test_trace_coordinates_bits():
