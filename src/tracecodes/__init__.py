@@ -1,8 +1,9 @@
 """Few-weight binary linear codes from trace conditions over GF(2^m).
 
 Exact construction of three code families from their defining sets, weight
-distributions by one transform, closed-form conformance checks, dual and
-minimality verdicts, and s-fold XOR sum-set tests for derived point sets.
+distributions by per-x counts or one transform, closed-form conformance
+checks, dual and minimality verdicts, and s-fold XOR sum-set tests for
+derived point sets.
 """
 
 from .analysis import (

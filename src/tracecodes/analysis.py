@@ -13,12 +13,10 @@ from typing import NamedTuple
 
 from .codes import (
     BinaryLinearCode,
-    Spectrum,
     WeightDistribution,
     code_spectrum,
-    column_spectrum,
-    defining_columns,
     enumerate_defining_set,
+    generator_matrix,
     hyperplane_distribution,
     minimum_distance,
 )
@@ -51,16 +49,13 @@ def pless_dual_counts(wd: WeightDistribution, n: int, k: int, q: int = 2) -> Dua
 
 
 def is_projective(code: BinaryLinearCode) -> bool:
-    """True iff generator columns are nonzero and pairwise distinct; see `spectrum_projective`."""
-    return spectrum_projective(code_spectrum(code))
+    """True iff generator columns are nonzero and pairwise distinct.
 
-
-def spectrum_projective(spectrum: Spectrum) -> bool:
-    """N[0] = 0 and all N[c] <= 1: no generator column is zero or repeated.
-
-    Requires full row rank, i.e. N^(u) = n (a zero codeword) at u = 0 only;
-    columns of a rank-deficient matrix do not determine the dual distance.
+    From the column counts N: N[0] = 0 and all N[c] <= 1.  Requires full row
+    rank, i.e. N^(u) = n (a zero codeword) at u = 0 only; columns of a
+    rank-deficient matrix do not determine the dual distance.
     """
+    spectrum = code_spectrum(code)
     if spectrum.transform.count(spectrum.n) > 1:
         raise ValueError(f"generator matrix is rank deficient (k={spectrum.k})")
     return spectrum.counts[0] == 0 and max(spectrum.counts) <= 1
@@ -111,16 +106,18 @@ def minimality_triples(wd: WeightDistribution) -> list[tuple[int, int, int]]:
     ]
 
 
-def spectrum_minimal(spectrum: Spectrum, wd: WeightDistribution) -> bool:
+def is_minimal(code: BinaryLinearCode) -> bool:
     """Exact minimality: no nonzero codeword's support strictly contains another's.
 
     With w(u) the weight of message u's codeword, the code is minimal iff no
     messages u, v have w(u) = wi, w(v) = wj and w(u ^ v) = wi + wj for a
     triple from `minimality_triples`.  Those pairs number
     2^-k * sum over t of A_i^(t) * A_j^(t) * A_{i+j}^(t), where A_w is the
-    indicator of the class {u : w(u) = w}; one transform per class in a triple.
+    indicator of the class {u : w(u) = w}; one transform per class in a triple,
+    after the one transform of the code's column counts.
     """
-    triples = minimality_triples(wd)
+    spectrum = code_spectrum(code)
+    triples = minimality_triples(spectrum.distribution())
     hat: dict[int, list[int]] = {}
     for w in {w for triple in triples for w in triple}:
         value = spectrum.n - 2 * w  # N^(u) on the class
@@ -128,12 +125,6 @@ def spectrum_minimal(spectrum: Spectrum, wd: WeightDistribution) -> bool:
     return not any(
         sum(x * y * z for x, y, z in zip(hat[wi], hat[wj], hat[wk])) for wi, wj, wk in triples
     )
-
-
-def is_minimal(code: BinaryLinearCode) -> bool:
-    """Exact minimality from the code's weight spectrum; see `spectrum_minimal`."""
-    spectrum = code_spectrum(code)
-    return spectrum_minimal(spectrum, spectrum.distribution())
 
 
 def closed_form_distribution(family: int, m: int) -> WeightDistribution:
@@ -226,8 +217,8 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     column half of projectivity from the injectivity of `trace_coordinates`.
     The exact minimality verdict (`brute_minimal` in the report) is true
     when `minimality_triples` finds no triple (every family code at m >= 4);
-    otherwise `spectrum_minimal` decides it from the defining set's column
-    spectrum, under the transform guard.
+    otherwise `is_minimal` decides it from the generator matrix, under the
+    transform guard.
 
     ok means: weight distribution matches the applicable closed form, the
     code is projective by both routes, and for m >= 3 the sufficient
@@ -264,8 +255,7 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     minimal = True
     if minimality_triples(wd):
         check_dimension(k)  # before the q^2/2 pairs are listed
-        spectrum = column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), k)
-        minimal = spectrum_minimal(spectrum, wd)
+        minimal = is_minimal(generator_matrix(ctx, enumerate_defining_set(ctx, family)))
 
     minimal_ok = True
     if m >= 3:

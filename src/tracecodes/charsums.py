@@ -1,8 +1,8 @@
-"""Character sums over GF(2^m), by transform, and their closed forms.
+"""Character sums over GF(2^m), one pass over x, and their closed forms.
 
 Every sum here is an exact integer: summands are (-1)^t with t a trace bit.
-The conformance sweep reads every (a, b) from one Walsh-Hadamard transform
-per sum of the family's generator columns (`codes.defining_columns`).
+The conformance sweep reads every (a, b) from one table per sum, built in
+one pass over the units x with the family's `codes.membership_form`.
 Closed forms with a genuinely undetermined sign return both candidates,
 and conformance means membership.
 """
@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from operator import add
 from typing import Iterator, NamedTuple
 
-from .codes import defining_columns, enumerate_defining_set
-from .field import FieldElement, GF2m, trace_table
-from .walsh import walsh_hadamard, zero_vector
+from .codes import membership_form
+from .field import FieldElement, GF2m, mul_row, trace_table, unit_inverses
+from .walsh import zero_vector
 
 
 @dataclass(frozen=True)
@@ -56,20 +57,22 @@ def coefficient_sets(ctx: GF2m) -> CoefficientSets:
 def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
     """S(a, b) at index a | b << m for every (a, b); family None is the plain sum.
 
-    Tr(a*z) = popcount(a & coords[z]) mod 2, so a sum over pairs (x, y), x != 0,
-    is the transform of their column counts (`codes.defining_columns`).  All
-    q^2 - q columns are distinct, with nonzero high m bits: the plain sum is
-    the transform of their indicator P, a family sum that of 2N - P, N the
-    counts of the family's columns (+1 on members, -1 off).
+    S(a, b) sums (-1)^(trace(u*y + c) + trace(a*x*y + b*x)) over x != 0 and
+    every y, with (u, c) the family's `membership_form` at x, or (0, 0) for
+    the plain sum.  For fixed x the sum over y is q at the one a with a*x = u and 0 at
+    every other a, so each x adds q * (-1)^(trace(c) + trace(b*x)) over b at
+    a = u*x^-1 only.
     """
-    q = ctx.size
-    counts = zero_vector(2 * ctx.m)
-    counts[q:] = [1] * (q * q - q)
-    if family is not None:
-        counts = [-p for p in counts]
-        for c in defining_columns(ctx, enumerate_defining_set(ctx, family)):
-            counts[c] += 2
-    return walsh_hadamard(counts)
+    q, tr = ctx.size, trace_table(ctx)
+    inverses = unit_inverses(ctx)
+    table = zero_vector(2 * ctx.m)
+    for x in ctx.units():
+        u, c = (0, 0) if family is None else membership_form(ctx, family, x)
+        a = ctx.mul(u, inverses[x])
+        sign = -q if tr[c] else q
+        row = [-sign if tr[bx] else sign for bx in mul_row(ctx, x)]  # over b
+        table[a::q] = map(add, table[a::q], row)
+    return table
 
 
 def _require_nonzero_pair(a: FieldElement, b: FieldElement) -> None:

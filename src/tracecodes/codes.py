@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table, unit_inverses
-from .walsh import TooLargeError, walsh_hadamard, zero_vector  # TooLargeError re-exported
+from .walsh import walsh_hadamard, zero_vector
 
 FAMILIES = (1, 2, 3)
 

@@ -16,7 +16,7 @@ from operator import itemgetter
 
 from .codes import WeightDistribution, defining_columns, enumerate_defining_set
 from .field import GF2m, mul_row, trace_coordinates
-from .walsh import TRANSFORM_MAX_DIM, TooLargeError, walsh_hadamard, zero_vector
+from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
 
 VARIANTS = ("paper-column", "code-column")
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
@@ -41,8 +41,7 @@ class OmegaSet:
     def __post_init__(self) -> None:
         if self.ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        if self.ambient_dim > TRANSFORM_MAX_DIM:
-            raise TooLargeError(f"ambient dimension {self.ambient_dim} exceeds transform guard {TRANSFORM_MAX_DIM}")
+        check_dimension(self.ambient_dim)
         top = 1 << self.ambient_dim
         for v in self.vectors:
             if not 0 < v < top:

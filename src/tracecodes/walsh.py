@@ -1,5 +1,6 @@
-"""Exact Walsh-Hadamard transform over F_2^k, the kernel behind weights,
-projectivity, character sums and sum-set counts, with its one size guard.
+"""Exact Walsh-Hadamard transform over F_2^k, the kernel behind a lone code's
+weights, projectivity and minimality and behind sum-set counts, with the
+one size guard that every 2^k-entry vector passes.
 
 A vector is a list of 2^k ints indexed by k-bit masks; its transform is
 f^(u) = sum over v of f(v) * (-1)^popcount(u & v).

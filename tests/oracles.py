@@ -11,7 +11,7 @@ import itertools
 from collections import Counter
 from functools import cache
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from tracecodes.codes import (
     BinaryLinearCode,
@@ -127,7 +127,7 @@ def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
 def brute_minimal(code: BinaryLinearCode) -> bool:
     """Exhaustive minimality check: no nonzero codeword's support strictly contains another's.
 
-    The oracle for `analysis.spectrum_minimal`.  Containment between
+    The oracle for `analysis.is_minimal`.  Containment between
     distinct binary words forces strictly smaller weight, so only pairs
     from different weight classes are compared; the zero word that a
     rank-deficient matrix gives a nonzero message is skipped.
@@ -157,15 +157,6 @@ def reciprocal_quadratic_roots(ctx: GF2m, a: FieldElement) -> frozenset[int]:
         raise ValueError("coefficient must be nonzero")
     row_a = mul_row(ctx, a)
     return frozenset(r for r in ctx.units() if ctx.mul(r, r) ^ row_a[r] ^ 1 == 0)
-
-
-def trace_pair_count(ctx: GF2m, subset: Iterable[FieldElement], bit: int) -> int:
-    """|{(e, b) in subset x units : trace(e*b) = bit}| by direct count."""
-    members = set(subset)
-    if 0 in members:
-        raise ValueError("subset must contain nonzero elements only")
-    tr = trace_table(ctx)
-    return sum(1 for e in members for eb in mul_row(ctx, e)[1:] if tr[eb] == bit)
 
 
 def char_sum(ctx: GF2m, a: FieldElement, b: FieldElement, family: int | None = None) -> int:

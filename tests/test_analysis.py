@@ -13,12 +13,12 @@ from oracles import (
     brute_minimal,
     dual_code,
     family_code,
-    family_spectrum,
     gray_codewords,
     largest_irreducible,
     matrix_rank,
     row_reduce,
 )
+from tracecodes import TooLargeError
 from tracecodes.analysis import (
     DualCounts,
     ab_minimal,
@@ -29,13 +29,13 @@ from tracecodes.analysis import (
     is_projective,
     minimality_triples,
     pless_dual_counts,
-    spectrum_projective,
     verify,
 )
 from tracecodes.codes import (
     BinaryLinearCode,
-    TooLargeError,
+    enumerate_defining_set,
     generator_columns,
+    generator_matrix,
     minimum_distance,
     weight_distribution,
 )
@@ -275,9 +275,9 @@ def test_verify_rejects_a_rank_deficient_code(monkeypatch):
     assert ctx.trace(1) == 1
     with pytest.raises(ValueError, match=r"rank deficient \(k=6\)") as raised:
         verify(1, 3)
-    with pytest.raises(ValueError) as spectrum_raised:
-        spectrum_projective(family_spectrum(ctx, 1))
-    assert str(raised.value) == str(spectrum_raised.value)
+    with pytest.raises(ValueError) as matrix_raised:
+        is_projective(generator_matrix(ctx, enumerate_defining_set(ctx, 1)))
+    assert str(raised.value) == str(matrix_raised.value)
 
 
 def test_closed_form_distribution_rows():

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from oracles import char_sum, reciprocal_quadratic_roots, trace_pair_count
+from oracles import char_sum, reciprocal_quadratic_roots
+from tracecodes import TooLargeError
 from tracecodes.charsums import (
     CharSumValue,
     char_sum_table,
@@ -56,25 +57,6 @@ def test_reciprocal_sums_characterize_root_existence():
         for a in ctx.units():
             has_roots = bool(reciprocal_quadratic_roots(ctx, a))
             assert has_roots == (a in sets.reciprocal_sums)
-
-
-def test_trace_pair_count_examples():
-    ctx = GF2m(2)
-    assert trace_pair_count(ctx, {1}, 0) == 1
-    assert trace_pair_count(ctx, {1}, 1) == 2
-    assert trace_pair_count(ctx, set(), 0) == 0
-    with pytest.raises(ValueError):
-        trace_pair_count(ctx, {0, 1}, 0)
-
-
-def test_trace_pair_count_closed_form():
-    # |E|(2^(m-1)-1) pairs land on trace 0, |E|*2^(m-1) on trace 1
-    for m in (2, 3, 4):
-        ctx = GF2m(m)
-        half = 1 << (m - 1)
-        for subset in ({1}, set(ctx.units()), {u for u in ctx.units() if u % 2}):
-            assert trace_pair_count(ctx, subset, 0) == len(subset) * (half - 1)
-            assert trace_pair_count(ctx, subset, 1) == len(subset) * half
 
 
 def test_plain_char_sum_values():
@@ -173,11 +155,12 @@ def test_family_char_sum_rejects_bad_family():
 
 
 # the default polynomial (0), then the largest irreducible one of each
-# degree; x^2 + x + 1 is the only one of degree 2
+# degree; x^2 + x + 1 is the only one of degree 2, and x^4 + x^3 + x^2 + x + 1
+# is not primitive (x has order 5)
 POLYS = {2: (0,), 3: (0, 0b1101), 4: (0, 0b11111), 5: (0, 0b111101)}
 
 
-def test_transform_tables_match_brute_force_sums():
+def test_char_sum_tables_match_brute_force_sums():
     for m, polys in POLYS.items():
         for poly in polys:
             ctx = GF2m(m, poly)
@@ -189,6 +172,13 @@ def test_transform_tables_match_brute_force_sums():
                     for family in (1, 2, 3):
                         want = char_sum(ctx, a, b, family=family)
                         assert tables[family][index] == want, (m, poly, family, a, b)
+
+
+def test_char_sum_table_keeps_the_transform_guard():
+    ctx = GF2m(11)
+    for family in (None, 1, 2, 3):
+        with pytest.raises(TooLargeError, match="transform guard"):
+            char_sum_table(ctx, family)
 
 
 def test_conformance_sweep_reads_the_tables():

@@ -12,9 +12,9 @@ from oracles import (
     representation_counts_naive,
     xor_convolve,
 )
-from tracecodes import sumsets
+from tracecodes import TooLargeError, sumsets
 from tracecodes.analysis import closed_form_distribution
-from tracecodes.codes import TooLargeError, generator_columns
+from tracecodes.codes import generator_columns
 from tracecodes.field import GF2m
 from tracecodes.sumsets import (
     OmegaSet,
