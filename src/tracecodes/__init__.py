@@ -41,7 +41,6 @@ from .sumsets import (
     build_omega,
     check_sum_set,
     representation_counts,
-    symmetric_three_weight,
 )
 from .walsh import TooLargeError, walsh_hadamard
 
@@ -75,7 +74,6 @@ __all__ = [
     "pless_dual_counts",
     "plain_char_sum_closed",
     "representation_counts",
-    "symmetric_three_weight",
     "verify",
     "walsh_hadamard",
     "weight_distribution",

@@ -28,8 +28,11 @@ def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(obj, sort_keys=True), built once
+
+
 def json_line(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True)
+    return _LINE_ENCODER.encode(obj)
 
 
 def enumerator_string(wd: WeightDistribution) -> str:

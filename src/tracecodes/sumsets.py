@@ -6,6 +6,11 @@ computed by a Walsh-Hadamard transform, pointwise s-th power, inverse
 transform.  The set is an s-sum set when the count is one constant on the
 nonzero members and another constant on the nonzero non-members, with the
 count at zero reported separately.
+
+The forward transform is that of the nonzero members alone; the zero flag
+adds 1 to every entry, so a set with and without zero share one spectrum.
+When the spectrum has one nonzero magnitude off u = 0 the counts have a
+closed form and no inverse transform is needed.
 """
 
 from __future__ import annotations
@@ -14,12 +19,15 @@ import itertools
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .codes import WeightDistribution, defining_columns, enumerate_defining_set
+from .codes import defining_columns, enumerate_defining_set
 from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
 
 VARIANTS = ("paper-column", "code-column")
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
+
+# the last point set's spectrum, keyed by (ambient_dim, vectors); one entry at most
+_spectrum_memo: dict[tuple[int, frozenset[int]], list[int]] = {}
 
 
 @dataclass(frozen=True)
@@ -96,18 +104,25 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     )
 
 
-def _indicator(omega: OmegaSet) -> list[int]:
-    """0/1 membership vector over F_2^K."""
-    vec = zero_vector(omega.ambient_dim)
-    for v in omega.vectors:
-        vec[v] = 1
-    if omega.include_zero:
-        vec[0] = 1
-    return vec
+def _nonzero_spectrum(omega: OmegaSet) -> list[int]:
+    """Transform of the nonzero members' indicator, memoised for the last set.
+
+    With zero included the set's transform is this plus 1 at every u.
+    """
+    key = (omega.ambient_dim, omega.vectors)
+    spectrum = _spectrum_memo.get(key)
+    if spectrum is None:
+        _spectrum_memo.clear()
+        indicator = zero_vector(omega.ambient_dim)
+        for v in omega.vectors:
+            indicator[v] = 1
+        spectrum = walsh_hadamard(indicator)
+        shared = {t: t for t in spectrum}  # one int object per value: the memo is about its list
+        spectrum = _spectrum_memo[key] = [shared[t] for t in spectrum]
+    return spectrum
 
 
-def representation_counts(omega: OmegaSet, s: int) -> list[int]:
-    """Exact s-fold XOR representation counts for every h, by transform."""
+def _check_power_cost(omega: OmegaSet, s: int) -> None:
     if s < 1:
         raise ValueError("s must be at least 1")
     cost = (1 << omega.ambient_dim) * s * omega.size.bit_length()  # each |t^s| <= size^s
@@ -116,7 +131,15 @@ def representation_counts(omega: OmegaSet, s: int) -> list[int]:
             f"s = {s} over {omega.size} points in dimension {omega.ambient_dim}: powered spectrum"
             f" estimated at {cost} bits (2^K * s * bit_length(size)), guard {POWER_MAX_BITS}"
         )
-    back = walsh_hadamard([t**s for t in walsh_hadamard(_indicator(omega))])
+
+
+def representation_counts(omega: OmegaSet, s: int) -> list[int]:
+    """Exact s-fold XOR representation counts for every h, by transform."""
+    _check_power_cost(omega, s)
+    zero = int(omega.include_zero)
+    spectrum = _nonzero_spectrum(omega)
+    powers = {t: (t + zero) ** s for t in set(spectrum)}  # equal entries share one power
+    back = walsh_hadamard([powers[t] for t in spectrum])
     if any(g & ((1 << omega.ambient_dim) - 1) for g in back):
         raise AssertionError("inverse transform did not divide evenly")
     return [g >> omega.ambient_dim for g in back]
@@ -158,26 +181,48 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     s must be odd and greater than 1.  A witness is a pair of vectors in
     the same class whose counts differ; when one class is empty its sigma
     is reported equal to the other's.
+
+    Let T be the set's transform, T(0) = |set|.  When |T(u)| over u != 0
+    takes at most one nonzero value lam, T^s = lam^(s-1) * T there for odd
+    s, so count_s(h) = base + lam^(s-1) * [h in set] with
+    base = (|set|^s - lam^(s-1) * |set|) / 2^K: a sum set, decided with no
+    inverse transform.  Any other set is decided from
+    `representation_counts`.
     """
     if s <= 1 or s % 2 == 0:
         raise ValueError("s must be odd and greater than 1")
-    counts = representation_counts(omega, s)
+    _check_power_cost(omega, s)
+    zero = int(omega.include_zero)
     members = omega.vectors
+    nonzero = (1 << omega.ambient_dim) - 1
+    values = set(itertools.islice(_nonzero_spectrum(omega), 1, None))
+    magnitudes = {abs(t + zero) for t in values} - {0}
+    if len(magnitudes) <= 1:
+        power = max(magnitudes, default=0) ** (s - 1)
+        numerator = omega.size**s - power * omega.size
+        if numerator & nonzero:
+            raise AssertionError("closed-form numerator did not divide evenly")
+        base = numerator >> omega.ambient_dim
+        sigma_in = base + power if members else None
+        sigma_out = base if len(members) < nonzero else None
+        count_at_zero, witness = base + power * zero, None
+    else:
+        counts = representation_counts(omega, s)
 
-    def class_constant(vectors: list[int]) -> tuple[int | None, tuple[int, int] | None]:
-        if not vectors:
-            return None, None
-        first = vectors[0]
-        for v in vectors[1:]:
-            if counts[v] != counts[first]:
-                return None, (first, v)
-        return counts[first], None
+        def class_constant(vectors: list[int]) -> tuple[int | None, tuple[int, int] | None]:
+            if not vectors:
+                return None, None
+            first = vectors[0]
+            for v in vectors[1:]:
+                if counts[v] != counts[first]:
+                    return None, (first, v)
+            return counts[first], None
 
-    inside = sorted(members)
-    outside = [h for h in range(1, 1 << omega.ambient_dim) if h not in members]
-    sigma_in, witness_in = class_constant(inside)
-    sigma_out, witness_out = class_constant(outside)
-    witness = witness_in or witness_out
+        inside = sorted(members)
+        outside = [h for h in range(1, nonzero + 1) if h not in members]
+        sigma_in, witness_in = class_constant(inside)
+        sigma_out, witness_out = class_constant(outside)
+        count_at_zero, witness = counts[0], witness_in or witness_out
     is_sum_set = witness is None
     if is_sum_set:
         if sigma_in is None:
@@ -194,15 +239,6 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
         is_sum_set=is_sum_set,
         sigma_members=sigma_in if is_sum_set else None,
         sigma_outside=sigma_out if is_sum_set else None,
-        count_at_zero=counts[0],
+        count_at_zero=count_at_zero,
         witness=witness,
     )
-
-
-def symmetric_three_weight(wd: WeightDistribution, n: int, q: int = 2) -> bool:
-    """True iff exactly three nonzero weights, the middle one n(q-1)/q, the outer two averaging it."""
-    weights = sorted(w for w in wd if w > 0)
-    if len(weights) != 3:
-        return False
-    w1, w2, w3 = weights
-    return w2 * q == n * (q - 1) and (w1 + w3) * q == 2 * n * (q - 1)

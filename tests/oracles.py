@@ -17,6 +17,7 @@ from tracecodes.codes import (
     BinaryLinearCode,
     DefiningSet,
     Spectrum,
+    WeightDistribution,
     column_spectrum,
     defining_columns,
     enumerate_defining_set,
@@ -24,7 +25,7 @@ from tracecodes.codes import (
     membership_form,
 )
 from tracecodes.field import FieldElement, GF2m, is_irreducible, mul_row, trace_table
-from tracecodes.sumsets import OmegaSet
+from tracecodes.sumsets import OmegaSet, SumSetReport
 from tracecodes.walsh import TooLargeError
 
 BRUTE_MINIMAL_MAX_DIM = 14
@@ -215,3 +216,46 @@ def representation_counts_by_convolution(omega: OmegaSet, s: int) -> list[int]:
     for _ in range(s - 1):
         counts = xor_convolve(counts, indicator)
     return counts
+
+
+def sum_set_report_from_counts(omega: OmegaSet, s: int, counts: Sequence[int]) -> SumSetReport:
+    """The s-sum-set verdict read off a full vector of s-fold counts.
+
+    Each class (nonzero members, nonzero non-members) must carry one count;
+    the witness pairs a class's least vector with its first differing one,
+    and an empty class inherits the other's count.
+    """
+    classes = (sorted(omega.vectors), [h for h in range(1, len(counts)) if h not in omega.vectors])
+    sigmas, witnesses = [], []
+    for vectors in classes:
+        differing = [v for v in vectors if counts[v] != counts[vectors[0]]]
+        witnesses += [(vectors[0], differing[0])] if differing else []
+        sigmas.append(counts[vectors[0]] if vectors and not differing else None)
+    is_sum_set = not witnesses
+    sigma_in, sigma_out = sigmas if is_sum_set else (None, None)
+    if sigma_in is None:
+        sigma_in = sigma_out
+    if sigma_out is None:
+        sigma_out = sigma_in
+    return SumSetReport(
+        family=omega.family,
+        m=omega.m,
+        s=s,
+        variant=omega.variant,
+        include_zero=omega.include_zero,
+        set_size=omega.size,
+        is_sum_set=is_sum_set,
+        sigma_members=sigma_in,
+        sigma_outside=sigma_out,
+        count_at_zero=counts[0],
+        witness=witnesses[0] if witnesses else None,
+    )
+
+
+def symmetric_three_weight(wd: WeightDistribution, n: int, q: int = 2) -> bool:
+    """True iff exactly three nonzero weights, the middle one n(q-1)/q, the outer two averaging it."""
+    weights = sorted(w for w in wd if w > 0)
+    if len(weights) != 3:
+        return False
+    w1, w2, w3 = weights
+    return w2 * q == n * (q - 1) and (w1 + w3) * q == 2 * n * (q - 1)

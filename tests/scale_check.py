@@ -1,10 +1,15 @@
 """Library `verify` for every family at m = 9..16, past the transform guard,
-and the character-sum conformance sweep at m = 7 and 8, past the CLI's cap.
+the character-sum conformance sweep at m = 7 and 8, and family-1 code-column
+sum sets at m = 9 and 10, each past the CLI's cap.
 
 Asserts each report is ok, at m = 9 and 10 that the per-x hyperplane
 counts agree with the transform of the defining set's column counts, and
-that every sweep record matches its closed form; prints the wall time of
-each step.  pytest does not collect this file.  Run:
+that every sweep record matches its closed form.  For the family-1
+code-column set at s = 3 it asserts that the set without zero is a sum set
+decided in closed form (the forward transform only, shared with the set
+with zero), and at m = 9 that both verdicts equal the ones read off
+`representation_counts`.  Prints the wall time of each step.  pytest does
+not collect this file.  Run:
 
     PYTHONPATH=src python tests/scale_check.py
 """
@@ -13,19 +18,61 @@ from __future__ import annotations
 
 import time
 
-from oracles import family_spectrum
+from oracles import family_spectrum, sum_set_report_from_counts
+from tracecodes import sumsets
 from tracecodes.analysis import verify
 from tracecodes.charsums import conformance_sweep
 from tracecodes.codes import hyperplane_distribution
 from tracecodes.field import GF2m
+from tracecodes.sumsets import build_omega, check_sum_set, representation_counts
 
 FAMILIES = (1, 2, 3)
 DEGREES = range(9, 17)
 SPECTRUM_DEGREES = (9, 10)
 SWEEP_DEGREES = (7, 8)
+SUMSET_DEGREES = (9, 10)
+SUMSET_ORACLE_DEGREES = (9,)
+
+
+def check_sum_sets(m: int) -> None:
+    transforms: list[int] = []
+    transform = sumsets.walsh_hadamard
+
+    def counted(values):
+        transforms.append(len(values))
+        return transform(values)
+
+    sumsets.walsh_hadamard = counted
+    try:
+        start = time.perf_counter()
+        base = build_omega(GF2m(m), 1, "code-column")
+        print(f"m={m}: family-1 code-column set of {base.size} points built in"
+              f" {time.perf_counter() - start:.2f}s", flush=True)
+        for include_zero in (False, True):
+            start = time.perf_counter()
+            before = len(transforms)
+            omega = base.with_zero(include_zero)
+            report = check_sum_set(omega, 3)
+            if not include_zero:
+                assert report.is_sum_set, m
+                assert transforms[before:] == [1 << (2 * m)], (m, transforms)  # no inverse
+            label = f"zero {'included' if include_zero else 'excluded'}"
+            print(f"m={m}: {label}, sum set {report.is_sum_set} in {time.perf_counter() - start:.2f}s",
+                  flush=True)
+            if m in SUMSET_ORACLE_DEGREES:
+                start = time.perf_counter()
+                expected = sum_set_report_from_counts(omega, 3, representation_counts(omega, 3))
+                assert report == expected, (m, include_zero)
+                print(f"m={m}: {label}, report == representation_counts' in"
+                      f" {time.perf_counter() - start:.2f}s", flush=True)
+    finally:
+        sumsets.walsh_hadamard = transform
+        sumsets._spectrum_memo.clear()  # the memo pins the last set and its 2^K spectrum
 
 
 def main() -> None:
+    for m in SUMSET_DEGREES:
+        check_sum_sets(m)
     for m in SWEEP_DEGREES:
         start = time.perf_counter()
         records = list(conformance_sweep(GF2m(m)))

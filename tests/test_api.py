@@ -13,7 +13,7 @@ PUBLIC = """
     build_omega check_sum_set closed_form_distribution coefficient_sets conformance_sweep
     enumerate_defining_set family_char_sum_closed generator_matrix griesmer_classify
     is_irreducible is_minimal is_projective minimum_distance plain_char_sum_closed
-    pless_dual_counts representation_counts symmetric_three_weight verify walsh_hadamard
+    pless_dual_counts representation_counts verify walsh_hadamard
     weight_distribution
 """.split()
 
@@ -22,7 +22,7 @@ NOT_IN_PACKAGE = """
     BRUTE_MINIMAL_MAX_DIM brute_minimal codeword distribution_json_dict dual_code
     family_char_sum matrix_rank membership_element plain_char_sum reciprocal_quadratic_roots
     representation_counts_by_convolution representation_counts_naive row_reduce
-    trace_pair_count xor_convolve
+    symmetric_three_weight trace_pair_count xor_convolve
 """.split()
 
 

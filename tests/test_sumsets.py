@@ -8,20 +8,27 @@ import pytest
 
 from oracles import (
     family_code,
+    largest_irreducible,
     representation_counts_by_convolution,
     representation_counts_naive,
+    sum_set_report_from_counts,
+    symmetric_three_weight,
     xor_convolve,
 )
-from tracecodes import TooLargeError, sumsets
+from tracecodes import TooLargeError, cli, sumsets
 from tracecodes.analysis import closed_form_distribution
-from tracecodes.codes import generator_columns
+from tracecodes.codes import (
+    defining_columns,
+    enumerate_defining_set,
+    generator_columns,
+    hyperplane_distribution,
+)
 from tracecodes.field import GF2m
 from tracecodes.sumsets import (
     OmegaSet,
     build_omega,
     check_sum_set,
     representation_counts,
-    symmetric_three_weight,
 )
 from tracecodes.walsh import walsh_hadamard
 
@@ -35,6 +42,25 @@ def hand_set(dim: int, vectors, include_zero: bool = False) -> OmegaSet:
         m=0,
         variant="external",
     )
+
+
+@pytest.fixture
+def transform_calls(monkeypatch) -> list[int]:
+    """Lengths of the transforms `sumsets` runs, starting from an empty spectrum memo."""
+    calls: list[int] = []
+
+    def counted(values):
+        calls.append(len(values))
+        return walsh_hadamard(values)
+
+    monkeypatch.setattr(sumsets, "_spectrum_memo", {})
+    monkeypatch.setattr(sumsets, "walsh_hadamard", counted)
+    return calls
+
+
+def spectrum_magnitudes(omega: OmegaSet) -> set[int]:
+    """The nonzero |T(u)| over u != 0, T the transform of the whole set's indicator."""
+    return {abs(t) for t in walsh_hadamard(representation_counts_naive(omega, 1))[1:]} - {0}
 
 
 def test_omega_set_validation():
@@ -276,3 +302,81 @@ def test_symmetric_three_weight():
         assert symmetric_three_weight(closed_form_distribution(2, m), n=2 * h * h - 2 * h)
     # two nonzero weights never qualify
     assert not symmetric_three_weight({0: 1, 2: 3, 4: 4}, n=4)
+
+
+def one_magnitude_sets():
+    yield hand_set(2, (1, 2, 3))
+    yield hand_set(3, range(1, 8))  # the full nonzero space
+    yield hand_set(3, range(1, 8), include_zero=True)  # the whole space: no nonzero magnitude
+    yield hand_set(2, ())  # the empty set: no nonzero magnitude, no members to inherit from
+    yield hand_set(3, (1, 2, 3), include_zero=True)  # a plane: zero is a member, magnitude 4
+    for family, degrees in ((1, range(2, 9)), (2, (3, 5, 7))):
+        for m in degrees:
+            for poly in (0, largest_irreducible(m)):
+                yield build_omega(GF2m(m, poly), family, "code-column").with_zero(False)
+
+
+def test_one_magnitude_sets_are_decided_in_closed_form(transform_calls):
+    for omega in one_magnitude_sets():
+        assert len(spectrum_magnitudes(omega)) <= 1, omega
+        sumsets._spectrum_memo.clear()
+        before = len(transform_calls)
+        reports = {s: check_sum_set(omega, s) for s in (3, 5, 7)}
+        assert len(transform_calls) == before + 1  # the forward transform, no inverse
+        for s, report in reports.items():
+            assert report.is_sum_set, (omega.family, omega.m, s)
+            expected = sum_set_report_from_counts(omega, s, representation_counts(omega, s))
+            assert report == expected, (omega.family, omega.m, s)
+            if omega.m <= 4:
+                counts = representation_counts_by_convolution(omega, s)
+                assert report == sum_set_report_from_counts(omega, s, counts)
+            if omega.size**s <= 40000:  # the tuple loop is feasible
+                counts = representation_counts_naive(omega, s)
+                assert report == sum_set_report_from_counts(omega, s, counts)
+
+
+def test_transform_route_matches_the_report_from_counts():
+    for m in (3, 4):
+        for variant in ("code-column", "paper-column"):
+            base = build_omega(GF2m(m), 1, variant)
+            for omega in (base.with_zero(False), base.with_zero(True)):
+                for s in (3, 5):
+                    counts = representation_counts_by_convolution(omega, s)
+                    assert check_sum_set(omega, s) == sum_set_report_from_counts(omega, s, counts)
+
+
+def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, capsys):
+    assert cli.main(["sumset", "--family", "1", "--m", "4"]) == 0
+    assert "code-column, zero excluded, size 128: sum set" in capsys.readouterr().out
+    # paper-column: forward, inverse, inverse; code-column: forward, inverse for
+    # the set with zero (8 before: a forward and an inverse per point set)
+    assert transform_calls == [256] * 5
+
+
+def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
+    base = build_omega(GF2m(4), 1, "code-column")
+    check_sum_set(base.with_zero(False), 3)
+    ((key, spectrum),) = sumsets._spectrum_memo.items()
+    assert key == (8, base.vectors)
+    snapshot = list(spectrum)
+    with_zero = base.with_zero(True)
+    assert not check_sum_set(with_zero, 3).is_sum_set
+    assert sum(representation_counts(with_zero, 5)) == with_zero.size**5
+    assert sumsets._spectrum_memo == {key: snapshot}
+    assert sumsets._spectrum_memo[key] is spectrum
+    assert transform_calls == [256] * 3  # one forward, two inverse
+
+
+def test_one_magnitude_iff_symmetric_three_weight():
+    for family, degrees in ((1, range(2, 9)), (2, (3, 5, 7)), (3, range(2, 9))):
+        for m in degrees:
+            ctx = GF2m(m)
+            if family == 3:  # not a point set of the paper; its columns are built the same way
+                columns = defining_columns(ctx, enumerate_defining_set(ctx, family))
+                omega = hand_set(2 * m, columns)
+            else:
+                omega = build_omega(ctx, family, "code-column").with_zero(False)
+            n, wd = hyperplane_distribution(ctx, family)
+            assert n == len(omega.vectors)  # projective: one point per column
+            one_magnitude = len(spectrum_magnitudes(omega)) == 1
+            assert one_magnitude == symmetric_three_weight(wd, n) == (family != 3), (family, m)
