@@ -90,9 +90,19 @@ def plain_char_sum_closed(ctx: GF2m, a: FieldElement, b: FieldElement) -> CharSu
 def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> CharSumValue:
     """Case table for the family sum; family 2 requires odd m."""
     _require_nonzero_pair(a, b)
+    return _family_case(ctx, family, a, b, trace_table(ctx), coefficient_sets(ctx).reciprocal_sums)
+
+
+def _family_case(
+    ctx: GF2m,
+    family: int,
+    a: FieldElement,
+    b: FieldElement,
+    tr: tuple[int, ...],
+    split: frozenset[int],
+) -> CharSumValue:
+    """`family_char_sum_closed` at (a, b) != (0, 0), given the field's trace table and reciprocal sums."""
     q = ctx.size
-    tr = trace_table(ctx)
-    split = coefficient_sets(ctx).reciprocal_sums
     if family == 1:
         if a == 0:
             if tr[b]:
@@ -151,8 +161,9 @@ def conformance_sweep(ctx: GF2m) -> Iterator[SweepRecord]:
     order, the plain sum first, then the families in order.
     """
     families = (1, 2, 3) if ctx.m % 2 == 1 else (1, 3)
-    sums = [("plain", char_sum_table(ctx), plain_char_sum_closed)] + [
-        (f"family{f}", char_sum_table(ctx, f), partial(family_char_sum_closed, family=f))
+    tr, split = trace_table(ctx), coefficient_sets(ctx).reciprocal_sums  # read once, not per (a, b)
+    sums = [("plain", char_sum_table(ctx), partial(plain_char_sum_closed, ctx))] + [
+        (f"family{f}", char_sum_table(ctx, f), partial(_family_case, ctx, f, tr=tr, split=split))
         for f in families
     ]
     for a in ctx.elements():
@@ -161,7 +172,7 @@ def conformance_sweep(ctx: GF2m) -> Iterator[SweepRecord]:
                 continue
             for name, table, closed_form in sums:
                 observed = table[a | b << ctx.m]
-                closed = closed_form(ctx, a=a, b=b)
+                closed = closed_form(a=a, b=b)
                 yield SweepRecord(
                     name, a, b, observed, closed.case, closed.candidates, closed.matches(observed)
                 )

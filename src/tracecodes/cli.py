@@ -20,7 +20,7 @@ from .analysis import VerificationReport, verify
 from .charsums import conformance_sweep
 from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
 from .field import GF2m
-from .sumsets import VARIANTS, OmegaSet, build_omega, check_sum_set
+from .sumsets import VARIANTS, OmegaSet, build_omegas, check_sum_set, sum_set_witness
 from .walsh import TooLargeError
 
 
@@ -173,8 +173,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     ctx = GF2m(args.m)
     variants = list(VARIANTS) if args.variant == "both" else [args.variant]
     batch = []
-    for variant in variants:
-        base = build_omega(ctx, args.family, variant)
+    for base in build_omegas(ctx, args.family, variants):
         if args.zero == "both":
             batch += [base.with_zero(False), base.with_zero(True)]
         elif args.zero == "as-built":
@@ -183,7 +182,12 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
             batch.append(base.with_zero(args.zero == "with"))
     for omega in batch:
         _require_printable_counts(omega, args.s)
-    reports = [check_sum_set(omega, args.s) for omega in batch]
+    reports, witnesses = [], []
+    for omega in batch:  # a witness reads the set's spectrum while it is still memoised
+        report = check_sum_set(omega, args.s)
+        explain = args.format == "text" and not report.is_sum_set
+        reports.append(report)
+        witnesses.append(sum_set_witness(omega, args.s) if explain else None)
     if args.format == "json":
         payload = {
             "family": args.family,
@@ -195,7 +199,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
         _emit(args, canonical_json(payload))
     else:
         lines = []
-        for r in reports:
+        for r, witness in zip(reports, witnesses):
             tag = f"{r.variant}, zero {'included' if r.include_zero else 'excluded'}, size {r.set_size}"
             if r.is_sum_set:
                 lines.append(
@@ -203,7 +207,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
                     f" {r.sigma_outside} outside, {r.count_at_zero} at zero)"
                 )
             else:
-                lines.append(f"{tag}: NOT a sum set (counts differ at {r.witness})")
+                lines.append(f"{tag}: NOT a sum set (counts differ at {witness})")
         _emit(args, "\n".join(lines))
     return 0 if any(r.is_sum_set for r in reports) else 1
 

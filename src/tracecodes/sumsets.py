@@ -1,4 +1,4 @@
-"""XOR s-fold representation counts for derived point sets, by one transform.
+"""XOR s-fold representation counts for derived point sets, and s-sum-set verdicts.
 
 A point set lives in F_2^K with vectors packed as K-bit ints.  The s-fold
 count at h is the number of ordered s-tuples of members XORing to h,
@@ -7,17 +7,21 @@ transform.  The set is an s-sum set when the count is one constant on the
 nonzero members and another constant on the nonzero non-members, with the
 count at zero reported separately.
 
-The forward transform is that of the nonzero members alone; the zero flag
+The forward transform t is that of the nonzero members alone; the zero flag
 adds 1 to every entry, so a set with and without zero share one spectrum.
-When the spectrum has one nonzero magnitude off u = 0 the counts have a
-closed form and no inverse transform is needed.
+The verdict needs no inverse transform: with T = t + [0 in set], the set is
+an s-sum set iff T(u)^s = beta * t(u) + gamma at every u != 0, so it is
+read off the distinct values of t, and the count at zero off their
+histogram.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Sequence
 
 from .codes import defining_columns, enumerate_defining_set
 from .field import GF2m, mul_row, trace_coordinates
@@ -75,33 +79,44 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     code-column expands (x*y, x), which reproduces the distinct generator
     matrix columns.  Duplicates collapse; a zero image sets include_zero.
     """
+    return build_omegas(ctx, family, (variant,))[0]
+
+
+def build_omegas(ctx: GF2m, family: int, variants: Sequence[str]) -> list[OmegaSet]:
+    """`build_omega` for each variant in turn, enumerating the defining set once."""
     if family not in (1, 2):
         raise ValueError("point sets are built for families 1 and 2 only")
     if family == 2 and ctx.m % 2 == 0:
         raise ValueError("family-2 point sets are built for odd m only")
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     dset = enumerate_defining_set(ctx, family)
     m = ctx.m
-    if variant == "code-column":
-        raw = set(defining_columns(ctx, dset))
-        dim = 2 * m
-    else:
-        coords = trace_coordinates(ctx)
-        dim = 2 * m if family == 1 else 3 * m
-        raw = set()
-        for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
-            row = mul_row(ctx, ctx.mul(x, x))
-            x_part = 0 if family == 1 else coords[x] << m
-            raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)
-    return OmegaSet(
-        ambient_dim=dim,
-        vectors=frozenset(raw - {0}),
-        include_zero=0 in raw,
-        family=family,
-        m=m,
-        variant=variant,
-    )
+    sets = []
+    for variant in variants:
+        if variant == "code-column":
+            raw = set(defining_columns(ctx, dset))
+            dim = 2 * m
+        else:
+            coords = trace_coordinates(ctx)
+            dim = 2 * m if family == 1 else 3 * m
+            raw = set()
+            for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
+                row = mul_row(ctx, ctx.mul(x, x))
+                x_part = 0 if family == 1 else coords[x] << m
+                raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)
+        sets.append(
+            OmegaSet(
+                ambient_dim=dim,
+                vectors=frozenset(raw - {0}),
+                include_zero=0 in raw,
+                family=family,
+                m=m,
+                variant=variant,
+            )
+        )
+    return sets
 
 
 def _nonzero_spectrum(omega: OmegaSet) -> list[int]:
@@ -159,7 +174,6 @@ class SumSetReport:
     sigma_members: int | None
     sigma_outside: int | None
     count_at_zero: int
-    witness: tuple[int, int] | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -175,60 +189,58 @@ class SumSetReport:
         }
 
 
+def _power_line(powers: dict[int, int]) -> tuple[int, int] | None:
+    """(beta, gamma) with powers[t] == beta * t + gamma at every t, or None.
+
+    beta is read off the two smallest t; a single t gives beta = 0.
+    """
+    low, *rest = sorted(powers)
+    if not rest:
+        return 0, powers[low]
+    rise, run = powers[rest[0]] - powers[low], rest[0] - low
+    if rise % run:  # (a^s - b^s) is divisible by (a - b)
+        raise AssertionError("slope numerator did not divide evenly")
+    beta = rise // run
+    gamma = powers[low] - beta * low
+    return (beta, gamma) if all(p == beta * t + gamma for t, p in powers.items()) else None
+
+
 def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     """Decide whether the set is an s-sum set over the nonzero vectors.
 
-    s must be odd and greater than 1.  A witness is a pair of vectors in
-    the same class whose counts differ; when one class is empty its sigma
-    is reported equal to the other's.
+    s must be odd and greater than 1.  When one class is empty its sigma is
+    reported equal to the other's.
 
-    Let T be the set's transform, T(0) = |set|.  When |T(u)| over u != 0
-    takes at most one nonzero value lam, T^s = lam^(s-1) * T there for odd
-    s, so count_s(h) = base + lam^(s-1) * [h in set] with
-    base = (|set|^s - lam^(s-1) * |set|) / 2^K: a sum set, decided with no
-    inverse transform.  Any other set is decided from
-    `representation_counts`.
+    With t the transform of the nonzero members and T = t + [0 in set], the
+    counts are alpha + beta * [h a nonzero member] + gamma * [h = 0] exactly
+    when T(u)^s = beta * t(u) + gamma at every u != 0; then
+    alpha = (|set|^s - beta * |nonzero members| - gamma) / 2^K is the count
+    outside and alpha + beta the count on members.  When t is constant off
+    u = 0 the nonzero members are none or all of them and beta = 0.  The
+    count at zero is 2^-K * sum of T(u)^s over the histogram of t.  No
+    inverse transform is run; `sum_set_witness` names a pair of vectors
+    that shows a set is not a sum set.
     """
     if s <= 1 or s % 2 == 0:
         raise ValueError("s must be odd and greater than 1")
     _check_power_cost(omega, s)
     zero = int(omega.include_zero)
-    members = omega.vectors
     nonzero = (1 << omega.ambient_dim) - 1
-    values = set(itertools.islice(_nonzero_spectrum(omega), 1, None))
-    magnitudes = {abs(t + zero) for t in values} - {0}
-    if len(magnitudes) <= 1:
-        power = max(magnitudes, default=0) ** (s - 1)
-        numerator = omega.size**s - power * omega.size
+    histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
+    powers = {t: (t + zero) ** s for t in histogram}
+    total = omega.size**s  # T(0)^s
+    at_zero = total + sum(n * powers[t] for t, n in histogram.items())
+    if at_zero & nonzero:
+        raise AssertionError("count-at-zero numerator did not divide evenly")
+    line = _power_line(powers)
+    sigma_in = sigma_out = None
+    if line is not None:
+        beta, gamma = line
+        numerator = total - beta * len(omega.vectors) - gamma
         if numerator & nonzero:
-            raise AssertionError("closed-form numerator did not divide evenly")
-        base = numerator >> omega.ambient_dim
-        sigma_in = base + power if members else None
-        sigma_out = base if len(members) < nonzero else None
-        count_at_zero, witness = base + power * zero, None
-    else:
-        counts = representation_counts(omega, s)
-
-        def class_constant(vectors: list[int]) -> tuple[int | None, tuple[int, int] | None]:
-            if not vectors:
-                return None, None
-            first = vectors[0]
-            for v in vectors[1:]:
-                if counts[v] != counts[first]:
-                    return None, (first, v)
-            return counts[first], None
-
-        inside = sorted(members)
-        outside = [h for h in range(1, nonzero + 1) if h not in members]
-        sigma_in, witness_in = class_constant(inside)
-        sigma_out, witness_out = class_constant(outside)
-        count_at_zero, witness = counts[0], witness_in or witness_out
-    is_sum_set = witness is None
-    if is_sum_set:
-        if sigma_in is None:
-            sigma_in = sigma_out
-        if sigma_out is None:
-            sigma_out = sigma_in
+            raise AssertionError("alpha numerator did not divide evenly")
+        sigma_out = numerator >> omega.ambient_dim
+        sigma_in = sigma_out + beta
     return SumSetReport(
         family=omega.family,
         m=omega.m,
@@ -236,9 +248,25 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
         variant=omega.variant,
         include_zero=omega.include_zero,
         set_size=omega.size,
-        is_sum_set=is_sum_set,
-        sigma_members=sigma_in if is_sum_set else None,
-        sigma_outside=sigma_out if is_sum_set else None,
-        count_at_zero=count_at_zero,
-        witness=witness,
+        is_sum_set=line is not None,
+        sigma_members=sigma_in,
+        sigma_outside=sigma_out,
+        count_at_zero=at_zero >> omega.ambient_dim,
     )
+
+
+def sum_set_witness(omega: OmegaSet, s: int) -> tuple[int, int] | None:
+    """Two vectors of one class whose s-fold counts differ, or None.
+
+    The pair is the class's least vector and the first vector whose count
+    differs from it, the nonzero members tried first, then the nonzero
+    non-members; read off `representation_counts`.
+    """
+    counts = representation_counts(omega, s)
+    outside = (h for h in range(1, len(counts)) if h not in omega.vectors)
+    for vectors in (iter(sorted(omega.vectors)), outside):
+        first = next(vectors, None)
+        for v in vectors:
+            if counts[v] != counts[first]:
+                return first, v
+    return None

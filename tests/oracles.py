@@ -218,20 +218,20 @@ def representation_counts_by_convolution(omega: OmegaSet, s: int) -> list[int]:
     return counts
 
 
+def count_classes(omega: OmegaSet, length: int) -> tuple[list[int], list[int]]:
+    """The nonzero members and the nonzero non-members, each in ascending order."""
+    return sorted(omega.vectors), [h for h in range(1, length) if h not in omega.vectors]
+
+
 def sum_set_report_from_counts(omega: OmegaSet, s: int, counts: Sequence[int]) -> SumSetReport:
     """The s-sum-set verdict read off a full vector of s-fold counts.
 
-    Each class (nonzero members, nonzero non-members) must carry one count;
-    the witness pairs a class's least vector with its first differing one,
+    Each class (nonzero members, nonzero non-members) must carry one count,
     and an empty class inherits the other's count.
     """
-    classes = (sorted(omega.vectors), [h for h in range(1, len(counts)) if h not in omega.vectors])
-    sigmas, witnesses = [], []
-    for vectors in classes:
-        differing = [v for v in vectors if counts[v] != counts[vectors[0]]]
-        witnesses += [(vectors[0], differing[0])] if differing else []
-        sigmas.append(counts[vectors[0]] if vectors and not differing else None)
-    is_sum_set = not witnesses
+    classes = count_classes(omega, len(counts))
+    sigmas = [counts[vectors[0]] if vectors else None for vectors in classes]
+    is_sum_set = all(counts[v] == sigma for vectors, sigma in zip(classes, sigmas) for v in vectors)
     sigma_in, sigma_out = sigmas if is_sum_set else (None, None)
     if sigma_in is None:
         sigma_in = sigma_out
@@ -248,8 +248,16 @@ def sum_set_report_from_counts(omega: OmegaSet, s: int, counts: Sequence[int]) -
         sigma_members=sigma_in,
         sigma_outside=sigma_out,
         count_at_zero=counts[0],
-        witness=witnesses[0] if witnesses else None,
     )
+
+
+def sum_set_witness_from_counts(omega: OmegaSet, counts: Sequence[int]) -> tuple[int, int] | None:
+    """A class's least vector and its first vector of another count, members first, or None."""
+    for vectors in count_classes(omega, len(counts)):
+        differing = [v for v in vectors if counts[v] != counts[vectors[0]]]
+        if differing:
+            return vectors[0], differing[0]
+    return None
 
 
 def symmetric_three_weight(wd: WeightDistribution, n: int, q: int = 2) -> bool:

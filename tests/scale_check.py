@@ -1,15 +1,16 @@
 """Library `verify` for every family at m = 9..16, past the transform guard,
-the character-sum conformance sweep at m = 7 and 8, and family-1 code-column
-sum sets at m = 9 and 10, each past the CLI's cap.
+the character-sum conformance sweep at m = 7 and 8, and family-1 sum sets
+at m = 9 and 10, each past the CLI's cap.
 
 Asserts each report is ok, at m = 9 and 10 that the per-x hyperplane
 counts agree with the transform of the defining set's column counts, and
 that every sweep record matches its closed form.  For the family-1
-code-column set at s = 3 it asserts that the set without zero is a sum set
-decided in closed form (the forward transform only, shared with the set
-with zero), and at m = 9 that both verdicts equal the ones read off
-`representation_counts`.  Prints the wall time of each step.  pytest does
-not collect this file.  Run:
+code-column set at m = 9 and 10, and the paper-column set at m = 9, at
+s = 3 with zero excluded and included, it asserts that `check_sum_set`
+runs one forward transform per point set and no inverse, that the
+code-column set without zero is a sum set, and at m = 9 that every
+verdict equals the one read off `representation_counts`.  Prints the wall
+time of each step.  pytest does not collect this file.  Run:
 
     PYTHONPATH=src python tests/scale_check.py
 """
@@ -30,11 +31,11 @@ FAMILIES = (1, 2, 3)
 DEGREES = range(9, 17)
 SPECTRUM_DEGREES = (9, 10)
 SWEEP_DEGREES = (7, 8)
-SUMSET_DEGREES = (9, 10)
+SUMSET_CASES = ((9, "code-column"), (9, "paper-column"), (10, "code-column"))
 SUMSET_ORACLE_DEGREES = (9,)
 
 
-def check_sum_sets(m: int) -> None:
+def check_sum_sets(m: int, variant: str) -> None:
     transforms: list[int] = []
     transform = sumsets.walsh_hadamard
 
@@ -45,24 +46,25 @@ def check_sum_sets(m: int) -> None:
     sumsets.walsh_hadamard = counted
     try:
         start = time.perf_counter()
-        base = build_omega(GF2m(m), 1, "code-column")
-        print(f"m={m}: family-1 code-column set of {base.size} points built in"
+        base = build_omega(GF2m(m), 1, variant)
+        print(f"m={m}: family-1 {variant} set of {base.size} points built in"
               f" {time.perf_counter() - start:.2f}s", flush=True)
         for include_zero in (False, True):
             start = time.perf_counter()
             before = len(transforms)
             omega = base.with_zero(include_zero)
             report = check_sum_set(omega, 3)
-            if not include_zero:
+            forward = [] if include_zero else [1 << omega.ambient_dim]  # shared with zero
+            assert transforms[before:] == forward, (m, variant, transforms)  # no inverse
+            if variant == "code-column" and not include_zero:
                 assert report.is_sum_set, m
-                assert transforms[before:] == [1 << (2 * m)], (m, transforms)  # no inverse
-            label = f"zero {'included' if include_zero else 'excluded'}"
+            label = f"{variant}, zero {'included' if include_zero else 'excluded'}"
             print(f"m={m}: {label}, sum set {report.is_sum_set} in {time.perf_counter() - start:.2f}s",
                   flush=True)
             if m in SUMSET_ORACLE_DEGREES:
                 start = time.perf_counter()
                 expected = sum_set_report_from_counts(omega, 3, representation_counts(omega, 3))
-                assert report == expected, (m, include_zero)
+                assert report == expected, (m, variant, include_zero)
                 print(f"m={m}: {label}, report == representation_counts' in"
                       f" {time.perf_counter() - start:.2f}s", flush=True)
     finally:
@@ -71,8 +73,8 @@ def check_sum_sets(m: int) -> None:
 
 
 def main() -> None:
-    for m in SUMSET_DEGREES:
-        check_sum_sets(m)
+    for m, variant in SUMSET_CASES:
+        check_sum_sets(m, variant)
     for m in SWEEP_DEGREES:
         start = time.perf_counter()
         records = list(conformance_sweep(GF2m(m)))

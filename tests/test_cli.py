@@ -137,6 +137,39 @@ def test_sumset_json(capsys):
     assert report["include_zero"] is False
 
 
+# sha256 over (exit code, stdout, stderr) of `sumset --family f --m m --s s --variant v
+# --zero z --format fmt` for s in (3, 5), v in (paper-column, code-column, both) and
+# z in (as-built, with, without, both), nested in that order, recorded from the route
+# that decided each set from its full vector of counts
+SUMSET_SHA256 = {
+    (1, 3, "text"): "6200b436acce69899edb21a62c35c05f16278b006f67e775e904e31f08993ece",
+    (1, 3, "json"): "d973c8e92d18e76aa0ed8c920b30cfb2ec1aba1e3fac103cf72925d6a7e9ece3",
+    (1, 4, "text"): "94d57982f3d188ed6859494c021bee1de71242a1d66e8425fab10b3d5a3e550c",
+    (1, 4, "json"): "ab8a1159dd88f50d81de3401b290650d4f915bbea3756734ae5d9e74741345bf",
+    (1, 5, "text"): "216c28e543cfc2d6a3ffcb4d06e9d9f650d707d49909cf41a092827859d3b40c",
+    (1, 5, "json"): "8b280f830f4ab1ab594d1ae7afe7fd41e38d4b99d54283128257dd0d82c1119c",
+    (2, 3, "text"): "6e3f3be61b58534c4ddd19bd33268ea246f6d80a7ddcabb9e92a0b55e24ecc2e",
+    (2, 3, "json"): "e228bdf48e6dcd7ab55932aa8243c7c0f2fc5f01a96e69d5aa19b2c3da39dbf6",
+    (2, 5, "text"): "2a5e88ba556155c04efd5a9ae732f6a99e564ba551c94f62310bc7af90803d82",
+    (2, 5, "json"): "6d1d994ed4820d2016239ca449f21fc6639329c6dd992437562372009b1e8704",
+}
+
+
+def test_sumset_output_pinned_at_small_m(capsys):
+    for (family, m, fmt), digest in SUMSET_SHA256.items():
+        h = hashlib.sha256()
+        for variant in ("paper-column", "code-column", "both"):
+            for zero in ("as-built", "with", "without", "both"):
+                for s in ("3", "5"):
+                    rc, out, err = run(
+                        capsys,
+                        "sumset", "--family", str(family), "--m", str(m), "--s", s,
+                        "--variant", variant, "--zero", zero, "--format", fmt,
+                    )
+                    h.update(f"{rc}\n{out}\n{err}\n".encode())
+        assert h.hexdigest() == digest, (family, m, fmt)
+
+
 def test_sumset_too_large_exits_3(capsys):
     rc, _, err = run(capsys, "sumset", "--family", "2", "--m", "7", "--variant", "paper-column")
     assert rc == 3

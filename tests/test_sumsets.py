@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
     representation_counts_by_convolution,
     representation_counts_naive,
     sum_set_report_from_counts,
+    sum_set_witness_from_counts,
     symmetric_three_weight,
     xor_convolve,
 )
@@ -29,6 +31,7 @@ from tracecodes.sumsets import (
     build_omega,
     check_sum_set,
     representation_counts,
+    sum_set_witness,
 )
 from tracecodes.walsh import walsh_hadamard
 
@@ -87,7 +90,7 @@ def test_hand_case_all_nonzero_vectors_of_dim2():
     assert report.sigma_members == 7
     assert report.sigma_outside == 7  # empty outside class inherits
     assert report.count_at_zero == 6
-    assert report.witness is None
+    assert sum_set_witness(omega, 3) is None
 
 
 def test_counts_s1_is_indicator():
@@ -249,10 +252,8 @@ def test_code_column_sets_without_zero_are_sum_sets():
 def test_code_column_sets_with_zero_are_not_sum_sets():
     for family, m in ((1, 2), (1, 3), (2, 3)):
         omega = build_omega(GF2m(m), family, "code-column").with_zero(True)
-        report = check_sum_set(omega, 3)
-        assert not report.is_sum_set
-        assert report.witness is not None
-        a, b = report.witness
+        assert not check_sum_set(omega, 3).is_sum_set
+        a, b = sum_set_witness(omega, 3)
         counts = representation_counts(omega, 3)
         assert counts[a] != counts[b]
 
@@ -335,22 +336,62 @@ def test_one_magnitude_sets_are_decided_in_closed_form(transform_calls):
                 assert report == sum_set_report_from_counts(omega, s, counts)
 
 
-def test_transform_route_matches_the_report_from_counts():
-    for m in (3, 4):
-        for variant in ("code-column", "paper-column"):
-            base = build_omega(GF2m(m), 1, variant)
-            for omega in (base.with_zero(False), base.with_zero(True)):
-                for s in (3, 5):
-                    counts = representation_counts_by_convolution(omega, s)
-                    assert check_sum_set(omega, s) == sum_set_report_from_counts(omega, s, counts)
+def affine_rule_point_sets():
+    """Family point sets (both variants) and seeded random hand sets at K <= 8, zero excluded."""
+    for family, degrees in ((1, range(2, 6)), (2, (3, 5))):
+        for m in degrees:
+            for variant in ("code-column", "paper-column"):
+                yield build_omega(GF2m(m), family, variant).with_zero(False)
+    rng = random.Random(1009)
+    for dim in range(1, 9):
+        for _ in range(6):
+            size = rng.randrange(1 << dim)
+            yield hand_set(dim, rng.sample(range(1, 1 << dim), size))
+
+
+def test_transform_route_matches_the_report_from_counts(transform_calls):
+    """The affine rule on the forward spectrum against the counts of every route."""
+    for base in affine_rule_point_sets():
+        cases = [(base.with_zero(zero), s) for zero in (False, True) for s in (3, 5, 7, 9, 11)]
+        sumsets._spectrum_memo.clear()  # random sets may repeat
+        before = len(transform_calls)
+        reports = [check_sum_set(omega, s) for omega, s in cases]
+        assert transform_calls[before:] == [1 << base.ambient_dim]  # one forward, no inverse
+        for (omega, s), report in zip(cases, reports):
+            counts = representation_counts(omega, s)
+            assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
+            witness = sum_set_witness(omega, s)
+            assert witness == sum_set_witness_from_counts(omega, counts)
+            assert (witness is None) == report.is_sum_set
+            if omega.ambient_dim <= 6 and s <= 5:
+                counts = representation_counts_by_convolution(omega, s)
+                assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
+            if omega.size**s <= 40000:  # the tuple loop is feasible
+                counts = representation_counts_naive(omega, s)
+                assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
+
+
+def test_power_line_holds_for_one_odd_power_and_not_the_next():
+    # -3 + 1 + 2 = 0 puts the cubes on one line: 7 * x - 6; the fifth powers are on none
+    assert sumsets._power_line({x: x**3 for x in (-3, 1, 2)}) == (7, -6)
+    assert sumsets._power_line({x: x**5 for x in (-3, 1, 2)}) is None
+    with pytest.raises(AssertionError, match="slope"):  # -5 / 13 is no chord slope of x^s
+        sumsets._power_line({-4: 7, 9: 2})
+    assert sumsets._power_line({4: 5}) == (0, 5)  # one value: beta = 0
 
 
 def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, capsys):
     assert cli.main(["sumset", "--family", "1", "--m", "4"]) == 0
     assert "code-column, zero excluded, size 128: sum set" in capsys.readouterr().out
-    # paper-column: forward, inverse, inverse; code-column: forward, inverse for
-    # the set with zero (8 before: a forward and an inverse per point set)
+    # a forward transform per point set; the three inverses name the text's witnesses
+    # for the sets that are not sum sets
     assert transform_calls == [256] * 5
+    for family, m, paper_dim, code_dim in ((1, 8, 16, 16), (2, 5, 15, 10)):
+        del transform_calls[:]
+        argv = ["sumset", "--family", str(family), "--m", str(m), "--format", "json"]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        assert transform_calls == [1 << paper_dim, 1 << code_dim]  # one forward per point set
 
 
 def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
@@ -364,7 +405,7 @@ def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
     assert sum(representation_counts(with_zero, 5)) == with_zero.size**5
     assert sumsets._spectrum_memo == {key: snapshot}
     assert sumsets._spectrum_memo[key] is spectrum
-    assert transform_calls == [256] * 3  # one forward, two inverse
+    assert transform_calls == [256] * 2  # one forward, one inverse for representation_counts
 
 
 def test_one_magnitude_iff_symmetric_three_weight():
