@@ -20,7 +20,7 @@ from .analysis import VerificationReport, verify
 from .charsums import conformance_sweep
 from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
 from .field import GF2m
-from .sumsets import VARIANTS, OmegaSet, build_omegas, check_sum_set, sum_set_witness
+from .sumsets import VARIANTS, OmegaSet, build_omega, check_sum_set, sum_set_witness
 from .walsh import TooLargeError
 
 
@@ -173,7 +173,8 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     ctx = GF2m(args.m)
     variants = list(VARIANTS) if args.variant == "both" else [args.variant]
     batch = []
-    for base in build_omegas(ctx, args.family, variants):
+    for variant in variants:
+        base = build_omega(ctx, args.family, variant)
         if args.zero == "both":
             batch += [base.with_zero(False), base.with_zero(True)]
         elif args.zero == "as-built":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
@@ -119,6 +120,7 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
     return n, {w: count for w, count in sorted(wd.items()) if count}
 
 
+@lru_cache(maxsize=1)
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
     """All qualifying pairs in ascending (x, y) order, one multiplication row per x."""
     tr = trace_table(ctx)

@@ -21,7 +21,6 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Sequence
 
 from .codes import defining_columns, enumerate_defining_set
 from .field import GF2m, mul_row, trace_coordinates
@@ -79,44 +78,33 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     code-column expands (x*y, x), which reproduces the distinct generator
     matrix columns.  Duplicates collapse; a zero image sets include_zero.
     """
-    return build_omegas(ctx, family, (variant,))[0]
-
-
-def build_omegas(ctx: GF2m, family: int, variants: Sequence[str]) -> list[OmegaSet]:
-    """`build_omega` for each variant in turn, enumerating the defining set once."""
     if family not in (1, 2):
         raise ValueError("point sets are built for families 1 and 2 only")
     if family == 2 and ctx.m % 2 == 0:
         raise ValueError("family-2 point sets are built for odd m only")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     dset = enumerate_defining_set(ctx, family)
     m = ctx.m
-    sets = []
-    for variant in variants:
-        if variant == "code-column":
-            raw = set(defining_columns(ctx, dset))
-            dim = 2 * m
-        else:
-            coords = trace_coordinates(ctx)
-            dim = 2 * m if family == 1 else 3 * m
-            raw = set()
-            for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
-                row = mul_row(ctx, ctx.mul(x, x))
-                x_part = 0 if family == 1 else coords[x] << m
-                raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)
-        sets.append(
-            OmegaSet(
-                ambient_dim=dim,
-                vectors=frozenset(raw - {0}),
-                include_zero=0 in raw,
-                family=family,
-                m=m,
-                variant=variant,
-            )
-        )
-    return sets
+    if variant == "code-column":
+        raw = set(defining_columns(ctx, dset))
+        dim = 2 * m
+    else:
+        coords = trace_coordinates(ctx)
+        dim = 2 * m if family == 1 else 3 * m
+        raw = set()
+        for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
+            row = mul_row(ctx, ctx.mul(x, x))
+            x_part = 0 if family == 1 else coords[x] << m
+            raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)
+    return OmegaSet(
+        ambient_dim=dim,
+        vectors=frozenset(raw - {0}),
+        include_zero=0 in raw,
+        family=family,
+        m=m,
+        variant=variant,
+    )
 
 
 def _nonzero_spectrum(omega: OmegaSet) -> list[int]:

@@ -13,7 +13,7 @@ PUBLIC = """
     build_omega check_sum_set closed_form_distribution coefficient_sets conformance_sweep
     enumerate_defining_set family_char_sum_closed generator_matrix griesmer_classify
     is_irreducible is_minimal is_projective minimum_distance plain_char_sum_closed
-    pless_dual_counts representation_counts sum_set_witness verify walsh_hadamard
+    pless_dual_counts representation_counts verify walsh_hadamard
     weight_distribution
 """.split()
 

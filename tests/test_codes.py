@@ -238,10 +238,11 @@ def test_hyperplane_distribution_matches_spectrum_route():
                 assert len(set(trace_coordinates(ctx))) == ctx.size
 
 
-def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch):
+def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch, request):
     # seeded random forms: many x with u = a0 * x make R_a0 large and linearly
     # dependent, u = 0 comes with both trace(c) values, and some codes are
     # rank deficient; both routes read the one patched form
+    request.addfinalizer(codes_module.enumerate_defining_set.cache_clear)
     rng = random.Random(2024)
     dependent = 0
     for trial in range(120):
@@ -254,6 +255,7 @@ def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch
             u = ctx.mul(a0, x) if draw < 0.4 else 0 if draw < 0.55 else rng.randrange(ctx.size)
             forms[x] = (u, rng.randrange(ctx.size))
         monkeypatch.setattr(codes_module, "membership_form", lambda ctx, family, x: forms[x])
+        codes_module.enumerate_defining_set.cache_clear()  # its memo outlives a patched form
         spectrum = family_spectrum(ctx, 1)
         assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), trial
         special = [x for x, (u, _) in forms.items() if u == ctx.mul(a0, x) and u]

@@ -363,7 +363,7 @@ def test_transform_route_matches_the_report_from_counts(transform_calls):
             witness = sum_set_witness(omega, s)
             assert witness == sum_set_witness_from_counts(omega, counts)
             assert (witness is None) == report.is_sum_set
-            if omega.ambient_dim <= 6 and s <= 5:
+            if omega.ambient_dim <= 8 and s <= 5:
                 counts = representation_counts_by_convolution(omega, s)
                 assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
             if omega.size**s <= 40000:  # the tuple loop is feasible
