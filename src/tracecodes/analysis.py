@@ -1,26 +1,27 @@
 """Code-level verdicts: dual counts, projectivity, Griesmer class, minimality.
 
 Everything is exact.  The first two dual weight counts are solved from the
-first two power moments with rational arithmetic, so a distribution that is
-not consistent with any binary linear code is rejected rather than rounded.
+first two power moments in integers, so a distribution that is not
+consistent with any binary linear code is rejected rather than rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .codes import (
     BinaryLinearCode,
     WeightDistribution,
     code_spectrum,
+    distinct_nonzero_columns,
     enumerate_defining_set,
     generator_matrix,
     hyperplane_distribution,
     minimum_distance,
 )
-from .field import GF2m, trace_coordinates
+from .field import GF2m
 from .walsh import check_dimension, walsh_hadamard
 
 class DualCounts(NamedTuple):
@@ -31,21 +32,37 @@ class DualCounts(NamedTuple):
 def pless_dual_counts(wd: WeightDistribution, n: int, k: int, q: int = 2) -> DualCounts:
     """Numbers of dual words of weight 1 and 2, from the first two power moments.
 
-    Solves the two Pless identities exactly; a non-integral or negative
-    solution means the distribution is not that of an [n, k] code over F_q.
+    Solves the two Pless identities exactly,
+    A1 = (q-1) n - S1 / q^(k-1) and
+    2 A2 = S2 / q^(k-2) - (q-1) n ((q-1) n + 1) + (2qn - q - 2n + 2) A1,
+    in integers over the common denominator D = q^max(0, k-1) (S1, S2 the
+    first two moments of wd); a non-integral or negative solution means the
+    distribution is not that of an [n, k] code over F_q.
     """
     total = sum(wd.values())
     if total != q**k:
         raise ValueError(f"distribution sums to {total}, expected {q**k}")
     s1 = sum(w * c for w, c in wd.items())
     s2 = sum(w * w * c for w, c in wd.items())
-    a1 = q * n - n - Fraction(s1) / Fraction(q) ** (k - 1)
-    lhs2 = Fraction(s2) / Fraction(q) ** (k - 2)
-    a2 = (lhs2 - (q - 1) * n * (q * n - n + 1) + (2 * q * n - q - 2 * n + 2) * a1) / 2
-    for name, val in (("weight-1", a1), ("weight-2", a2)):
-        if val.denominator != 1 or val < 0:
-            raise ValueError(f"inconsistent distribution: {name} dual count solves to {val}")
-    return DualCounts(int(a1), int(a2))
+    denominator = q ** max(0, k - 1)
+    a1_times_d = (q - 1) * n * denominator - s1 * q ** max(0, 1 - k)
+    a1 = _solved_count("weight-1", a1_times_d, denominator)
+    a2_times_2d = (
+        s2 * q ** (max(0, k - 1) - k + 2)
+        - (q - 1) * n * (q * n - n + 1) * denominator
+        + (2 * q * n - q - 2 * n + 2) * a1_times_d
+    )
+    return DualCounts(a1, _solved_count("weight-2", a2_times_2d, 2 * denominator))
+
+
+def _solved_count(name: str, numerator: int, denominator: int) -> int:
+    """numerator / denominator (> 0) as a count, or ValueError naming the reduced fraction."""
+    count, rest = divmod(numerator, denominator)
+    if rest or count < 0:
+        g = gcd(numerator, denominator)
+        shown = str(numerator // g) + ("" if g == denominator else f"/{denominator // g}")
+        raise ValueError(f"inconsistent distribution: {name} dual count solves to {shown}")
+    return count
 
 
 def is_projective(code: BinaryLinearCode) -> bool:
@@ -198,16 +215,6 @@ class VerificationReport:
         }
 
 
-def _distinct_nonzero_columns(ctx: GF2m) -> bool:
-    """The column half of projectivity for a family code, from a q-entry table.
-
-    (x, y) -> (x*y, x) is injective for x != 0, so the columns
-    coords(x*y) | coords(x) << m of distinct pairs are distinct, and nonzero
-    (coords(x) != 0), exactly when `trace_coordinates` is injective.
-    """
-    return len(set(trace_coordinates(ctx))) == ctx.size
-
-
 def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     """Build the family's code and check every claimed property exactly.
 
@@ -245,7 +252,7 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     table_match = wd == expected
 
     duals = pless_dual_counts(wd, n, k)
-    projective_cols = _distinct_nonzero_columns(ctx)
+    projective_cols = distinct_nonzero_columns(ctx)
     projective = projective_cols and duals == (0, 0)
     if projective_cols != (duals == (0, 0)):
         notes.append("column check and dual-count check disagree on projectivity")

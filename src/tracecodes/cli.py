@@ -20,7 +20,13 @@ from .analysis import VerificationReport, verify
 from .charsums import conformance_sweep
 from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
 from .field import GF2m
-from .sumsets import VARIANTS, OmegaSet, build_omega, check_sum_set, sum_set_witness
+from .sumsets import (
+    VARIANTS,
+    build_omega,
+    check_sum_set,
+    code_column_sum_sets,
+    sum_set_witness,
+)
 from .walsh import TooLargeError
 
 
@@ -149,46 +155,65 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
     return 0 if mismatch_count == 0 else 1
 
 
-def _require_printable_counts(omega: OmegaSet, s: int) -> None:
+def _require_printable_counts(size: int, s: int) -> None:
     """Refuse an s whose counts could not be printed under the int-to-str digit limit.
 
     Each printed count is at most size^s < 2^(s * bit_length(size)), and a
     number below 2^bits has at most bits * 0.30103 + 1 decimal digits.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    bits = s * omega.size.bit_length()
+    bits = s * size.bit_length()
     digits = bits * 30103 // 100000 + 1
     if limit and digits > limit:
         raise TooLargeError(
-            f"s = {s} over {omega.size} points: printed counts estimated at {bits} bits"
+            f"s = {s} over {size} points: printed counts estimated at {bits} bits"
             f" (s * bit_length(size)), up to {digits} decimal digits, over the interpreter's"
             f" {limit}-digit limit for converting an int to text"
         )
 
 
 def _cmd_sumset(args: argparse.Namespace) -> int:
+    """Decide each requested point set; code-column sets come from the code's weights.
+
+    Every set's printed counts are guarded before any set is decided.  A
+    code-column set has one point per defining pair, the defining set being
+    memoised and already built for a paper-column set; its vectors are built
+    only for the text witness of a set that is not a sum set.
+    """
     if args.family == 2 and args.m % 2 == 0:
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
         return 2
     ctx = GF2m(args.m)
     variants = list(VARIANTS) if args.variant == "both" else [args.variant]
-    batch = []
+    chosen = {"with": (True,), "without": (False,), "both": (False, True)}.get(args.zero)
+    groups = []  # (variant, zero flags, point set or None for the code-column set)
     for variant in variants:
-        base = build_omega(ctx, args.family, variant)
-        if args.zero == "both":
-            batch += [base.with_zero(False), base.with_zero(True)]
-        elif args.zero == "as-built":
-            batch.append(base)
+        if variant == "code-column":
+            base, as_built = None, False  # zero is no generator column
         else:
-            batch.append(base.with_zero(args.zero == "with"))
-    for omega in batch:
-        _require_printable_counts(omega, args.s)
+            base = build_omega(ctx, args.family, variant)
+            as_built = base.include_zero
+        groups.append((variant, chosen or (as_built,), base))
+    for variant, flags, base in groups:
+        for flag in flags:
+            if base is None:
+                size = len(enumerate_defining_set(ctx, args.family)) + flag
+            else:
+                size = base.with_zero(flag).size
+            _require_printable_counts(size, args.s)
     reports, witnesses = [], []
-    for omega in batch:  # a witness reads the set's spectrum while it is still memoised
-        report = check_sum_set(omega, args.s)
-        explain = args.format == "text" and not report.is_sum_set
-        reports.append(report)
-        witnesses.append(sum_set_witness(omega, args.s) if explain else None)
+    for variant, flags, base in groups:
+        if base is None:
+            decided = code_column_sum_sets(ctx, args.family, args.s, flags)
+        else:
+            decided = [check_sum_set(base.with_zero(flag), args.s) for flag in flags]
+        for report in decided:  # a witness reads the set's spectrum while it is still memoised
+            witness = None
+            if args.format == "text" and not report.is_sum_set:
+                omega = build_omega(ctx, args.family, variant) if base is None else base
+                witness = sum_set_witness(omega.with_zero(report.include_zero), args.s)
+            reports.append(report)
+            witnesses.append(witness)
     if args.format == "json":
         payload = {
             "family": args.family,

@@ -146,6 +146,17 @@ def defining_columns(ctx: GF2m, dset: DefiningSet) -> list[int]:
     return columns
 
 
+def distinct_nonzero_columns(ctx: GF2m) -> bool:
+    """Whether the family code's generator columns are nonzero and pairwise distinct.
+
+    (x, y) -> (x*y, x) is injective for x != 0, so the columns
+    coords(x*y) | coords(x) << m of distinct pairs are distinct, and nonzero
+    (coords(x) != 0), exactly when `trace_coordinates` is injective; one
+    q-entry table answers for every family.
+    """
+    return len(set(trace_coordinates(ctx))) == ctx.size
+
+
 def transpose(vectors: Sequence[int], width: int) -> list[int]:
     """Bit-matrix transpose: bit j of entry i is bit i of vectors[j], for i < width.
 

@@ -7,12 +7,17 @@ transform.  The set is an s-sum set when the count is one constant on the
 nonzero members and another constant on the nonzero non-members, with the
 count at zero reported separately.
 
-The forward transform t is that of the nonzero members alone; the zero flag
-adds 1 to every entry, so a set with and without zero share one spectrum.
-The verdict needs no inverse transform: with T = t + [0 in set], the set is
-an s-sum set iff T(u)^s = beta * t(u) + gamma at every u != 0, so it is
-read off the distinct values of t, and the count at zero off their
-histogram.
+The verdict needs only the histogram of t, the transform of the nonzero
+members, over u != 0: with T = t + [0 in set], the set is an s-sum set iff
+T(u)^s = beta * t(u) + gamma at every u != 0, so it is read off the
+distinct values of t, and the count at zero off their histogram.  The
+zero flag adds 1 to every entry, so a set with and without zero share one
+histogram.  There are two sources of it.  `check_sum_set` takes any
+`OmegaSet` and runs one forward transform, no inverse.
+`code_column_sum_sets` takes a family's code-column set, the distinct
+nonzero generator columns of a code with n columns, whose transform is
+t(u) = n - 2 wt(u) (Calderbank-Kantor), and reads the histogram off the
+code's weight distribution: no vectors and no transform.
 """
 
 from __future__ import annotations
@@ -21,8 +26,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Sequence
 
-from .codes import defining_columns, enumerate_defining_set
+from .codes import (
+    defining_columns,
+    distinct_nonzero_columns,
+    enumerate_defining_set,
+    hyperplane_distribution,
+)
 from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
 
@@ -70,6 +81,13 @@ class OmegaSet:
         )
 
 
+def _check_family(ctx: GF2m, family: int) -> None:
+    if family not in (1, 2):
+        raise ValueError("point sets are built for families 1 and 2 only")
+    if family == 2 and ctx.m % 2 == 0:
+        raise ValueError("family-2 point sets are built for odd m only")
+
+
 def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     """Point set of the family's defining set under the chosen column map.
 
@@ -78,10 +96,7 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     code-column expands (x*y, x), which reproduces the distinct generator
     matrix columns.  Duplicates collapse; a zero image sets include_zero.
     """
-    if family not in (1, 2):
-        raise ValueError("point sets are built for families 1 and 2 only")
-    if family == 2 and ctx.m % 2 == 0:
-        raise ValueError("family-2 point sets are built for odd m only")
+    _check_family(ctx, family)
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     dset = enumerate_defining_set(ctx, family)
@@ -125,20 +140,24 @@ def _nonzero_spectrum(omega: OmegaSet) -> list[int]:
     return spectrum
 
 
-def _check_power_cost(omega: OmegaSet, s: int) -> None:
+def _check_power_cost(s: int, size: int, dim: int, values: int, basis: str) -> None:
+    """Refuse an s whose powers of `values` spectrum entries are estimated above the guard.
+
+    Each |T(u)^s| <= size^s, so each power takes at most s * bit_length(size) bits.
+    """
     if s < 1:
         raise ValueError("s must be at least 1")
-    cost = (1 << omega.ambient_dim) * s * omega.size.bit_length()  # each |t^s| <= size^s
+    cost = values * s * size.bit_length()
     if cost > POWER_MAX_BITS:
         raise TooLargeError(
-            f"s = {s} over {omega.size} points in dimension {omega.ambient_dim}: powered spectrum"
-            f" estimated at {cost} bits (2^K * s * bit_length(size)), guard {POWER_MAX_BITS}"
+            f"s = {s} over {size} points in dimension {dim}: powered spectrum"
+            f" estimated at {cost} bits ({basis} * s * bit_length(size)), guard {POWER_MAX_BITS}"
         )
 
 
 def representation_counts(omega: OmegaSet, s: int) -> list[int]:
     """Exact s-fold XOR representation counts for every h, by transform."""
-    _check_power_cost(omega, s)
+    _check_power_cost(s, omega.size, omega.ambient_dim, 1 << omega.ambient_dim, "2^K")
     zero = int(omega.include_zero)
     spectrum = _nonzero_spectrum(omega)
     powers = {t: (t + zero) ** s for t in set(spectrum)}  # equal entries share one power
@@ -193,6 +212,53 @@ def _power_line(powers: dict[int, int]) -> tuple[int, int] | None:
     return (beta, gamma) if all(p == beta * t + gamma for t, p in powers.items()) else None
 
 
+def _check_odd_power(s: int) -> None:
+    if s <= 1 or s % 2 == 0:
+        raise ValueError("s must be odd and greater than 1")
+
+
+def _report(
+    family: int,
+    m: int,
+    variant: str,
+    dim: int,
+    members: int,
+    include_zero: bool,
+    histogram: dict[int, int],
+    s: int,
+) -> SumSetReport:
+    """The verdict on a set of `members` nonzero vectors in F_2^dim, plus zero if
+    include_zero, from the histogram of t over u != 0; see `check_sum_set`."""
+    zero = int(include_zero)
+    nonzero = (1 << dim) - 1
+    powers = {t: (t + zero) ** s for t in histogram}
+    total = (members + zero) ** s  # T(0)^s
+    at_zero = total + sum(n * powers[t] for t, n in histogram.items())
+    if at_zero & nonzero:
+        raise AssertionError("count-at-zero numerator did not divide evenly")
+    line = _power_line(powers)
+    sigma_in = sigma_out = None
+    if line is not None:
+        beta, gamma = line
+        numerator = total - beta * members - gamma
+        if numerator & nonzero:
+            raise AssertionError("alpha numerator did not divide evenly")
+        sigma_out = numerator >> dim
+        sigma_in = sigma_out + beta
+    return SumSetReport(
+        family=family,
+        m=m,
+        s=s,
+        variant=variant,
+        include_zero=include_zero,
+        set_size=members + zero,
+        is_sum_set=line is not None,
+        sigma_members=sigma_in,
+        sigma_outside=sigma_out,
+        count_at_zero=at_zero >> dim,
+    )
+
+
 def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     """Decide whether the set is an s-sum set over the nonzero vectors.
 
@@ -205,42 +271,57 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     alpha = (|set|^s - beta * |nonzero members| - gamma) / 2^K is the count
     outside and alpha + beta the count on members.  When t is constant off
     u = 0 the nonzero members are none or all of them and beta = 0.  The
-    count at zero is 2^-K * sum of T(u)^s over the histogram of t.  No
-    inverse transform is run; `sum_set_witness` names a pair of vectors
-    that shows a set is not a sum set.
+    count at zero is 2^-K * sum of T(u)^s over the histogram of t.  One
+    forward transform and no inverse is run; `sum_set_witness` names a pair
+    of vectors that shows a set is not a sum set.  The power guard counts
+    the values of t before the transform: they lie in
+    [-|nonzero members|, |nonzero members|] and share one parity, so there
+    are at most min(2^K, |nonzero members| + 1) of them.
     """
-    if s <= 1 or s % 2 == 0:
-        raise ValueError("s must be odd and greater than 1")
-    _check_power_cost(omega, s)
-    zero = int(omega.include_zero)
-    nonzero = (1 << omega.ambient_dim) - 1
+    _check_odd_power(s)
+    members = len(omega.vectors)
+    values = min(1 << omega.ambient_dim, members + 1)
+    _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
     histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
-    powers = {t: (t + zero) ** s for t in histogram}
-    total = omega.size**s  # T(0)^s
-    at_zero = total + sum(n * powers[t] for t, n in histogram.items())
-    if at_zero & nonzero:
-        raise AssertionError("count-at-zero numerator did not divide evenly")
-    line = _power_line(powers)
-    sigma_in = sigma_out = None
-    if line is not None:
-        beta, gamma = line
-        numerator = total - beta * len(omega.vectors) - gamma
-        if numerator & nonzero:
-            raise AssertionError("alpha numerator did not divide evenly")
-        sigma_out = numerator >> omega.ambient_dim
-        sigma_in = sigma_out + beta
-    return SumSetReport(
-        family=omega.family,
-        m=omega.m,
-        s=s,
-        variant=omega.variant,
-        include_zero=omega.include_zero,
-        set_size=omega.size,
-        is_sum_set=line is not None,
-        sigma_members=sigma_in,
-        sigma_outside=sigma_out,
-        count_at_zero=at_zero >> omega.ambient_dim,
+    return _report(
+        omega.family,
+        omega.m,
+        omega.variant,
+        omega.ambient_dim,
+        members,
+        omega.include_zero,
+        histogram,
+        s,
     )
+
+
+def code_column_sum_sets(
+    ctx: GF2m, family: int, s: int, zero_flags: Sequence[bool] = (False, True)
+) -> list[SumSetReport]:
+    """`check_sum_set` of the family's code-column set, once per zero flag,
+    from the code's weight distribution.
+
+    The set is the code's n generator columns in F_2^(2m), with zero not a
+    member as built.  When they are distinct and nonzero and the code has
+    full rank, t(u) = n - 2 wt(u) at every u and only u = 0 has weight 0, so
+    the histogram of t over u != 0 is {n - 2w: A_w} over the nonzero
+    weights w of `hyperplane_distribution`, in O(q); AssertionError if
+    either condition fails.  The power guard counts the distinct values of t.
+    """
+    _check_odd_power(s)
+    _check_family(ctx, family)
+    n, wd = hyperplane_distribution(ctx, family)
+    if wd.get(0) != 1:
+        raise AssertionError(f"family {family} code at m = {ctx.m} is rank deficient")
+    if not distinct_nonzero_columns(ctx):
+        raise AssertionError(f"family {family} code at m = {ctx.m} has a zero or repeated column")
+    histogram = {n - 2 * w: count for w, count in wd.items() if w}
+    dim, values = 2 * ctx.m, len(histogram)
+    reports = []
+    for include_zero in zero_flags:
+        _check_power_cost(s, n + include_zero, dim, values, f"{values} values of t")
+        reports.append(_report(family, ctx.m, "code-column", dim, n, include_zero, histogram, s))
+    return reports
 
 
 def sum_set_witness(omega: OmegaSet, s: int) -> tuple[int, int] | None:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from fractions import Fraction
 from functools import cache
 from operator import itemgetter
 from typing import Iterator, Sequence
@@ -176,6 +177,25 @@ def char_sum(ctx: GF2m, a: FieldElement, b: FieldElement, family: int | None = N
         shift = c ^ row_b[x]
         total += q - 2 * sum([tr[z ^ shift] for z in mul_row(ctx, u ^ row_a[x])])
     return total
+
+
+def pless_dual_counts_by_fractions(
+    wd: WeightDistribution, n: int, k: int, q: int = 2
+) -> tuple[int, int]:
+    """The first two dual weight counts solved from the Pless power moments in
+    `Fraction`s; ValueError naming the first non-integral or negative solution."""
+    total = sum(wd.values())
+    if total != q**k:
+        raise ValueError(f"distribution sums to {total}, expected {q**k}")
+    s1 = sum(w * c for w, c in wd.items())
+    s2 = sum(w * w * c for w, c in wd.items())
+    a1 = q * n - n - Fraction(s1) / Fraction(q) ** (k - 1)
+    lhs2 = Fraction(s2) / Fraction(q) ** (k - 2)
+    a2 = (lhs2 - (q - 1) * n * (q * n - n + 1) + (2 * q * n - q - 2 * n + 2) * a1) / 2
+    for name, val in (("weight-1", a1), ("weight-2", a2)):
+        if val.denominator != 1 or val < 0:
+            raise ValueError(f"inconsistent distribution: {name} dual count solves to {val}")
+    return int(a1), int(a2)
 
 
 def representation_counts_naive(omega: OmegaSet, s: int) -> list[int]:

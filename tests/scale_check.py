@@ -1,6 +1,8 @@
 """Library `verify` for every family at m = 9..16, past the transform guard,
-the character-sum conformance sweep at m = 7 and 8, and family-1 sum sets
-at m = 9 and 10, each past the CLI's cap.
+the character-sum conformance sweep at m = 7 and 8, and sum sets past the
+CLI's cap: family-1 sets at m = 9 and 10 by transform, and code-column
+sets of family 1 at m = 9..16 and family 2 at odd m = 11..15 from the
+code's weights.
 
 Asserts each report is ok, at m = 9 and 10 that the per-x hyperplane
 counts agree with the transform of the defining set's column counts, and
@@ -8,9 +10,13 @@ that every sweep record matches its closed form.  For the family-1
 code-column set at m = 9 and 10, and the paper-column set at m = 9, at
 s = 3 with zero excluded and included, it asserts that `check_sum_set`
 runs one forward transform per point set and no inverse, that the
-code-column set without zero is a sum set, and at m = 9 that every
-verdict equals the one read off `representation_counts`.  Prints the wall
-time of each step.  pytest does not collect this file.  Run:
+code-column set without zero is a sum set, at m = 9 that every verdict
+equals the one read off `representation_counts`, and at m = 9 and 10 that
+`code_column_sum_sets` gives the code-column reports without a transform.
+From m = 11 on, `code_column_sum_sets` alone decides the code-column sets
+at s = 3, with no transform: the set without zero is a sum set and the
+set with zero is not.  Prints the wall time of each step.  pytest does
+not collect this file.  Run:
 
     PYTHONPATH=src python tests/scale_check.py
 """
@@ -18,14 +24,21 @@ time of each step.  pytest does not collect this file.  Run:
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
+from typing import Iterator
 
 from oracles import family_spectrum, sum_set_report_from_counts
-from tracecodes import sumsets
+from tracecodes import codes, sumsets
 from tracecodes.analysis import verify
 from tracecodes.charsums import conformance_sweep
 from tracecodes.codes import hyperplane_distribution
 from tracecodes.field import GF2m
-from tracecodes.sumsets import build_omega, check_sum_set, representation_counts
+from tracecodes.sumsets import (
+    build_omega,
+    check_sum_set,
+    code_column_sum_sets,
+    representation_counts,
+)
 
 FAMILIES = (1, 2, 3)
 DEGREES = range(9, 17)
@@ -33,9 +46,12 @@ SPECTRUM_DEGREES = (9, 10)
 SWEEP_DEGREES = (7, 8)
 SUMSET_CASES = ((9, "code-column"), (9, "paper-column"), (10, "code-column"))
 SUMSET_ORACLE_DEGREES = (9,)
+WEIGHTS_ROUTE_CASES = tuple((1, m) for m in range(11, 17)) + tuple((2, m) for m in (11, 13, 15))
 
 
-def check_sum_sets(m: int, variant: str) -> None:
+@contextmanager
+def counted_transforms() -> Iterator[list[int]]:
+    """Lengths of the transforms `sumsets` and `codes` run inside the block."""
     transforms: list[int] = []
     transform = sumsets.walsh_hadamard
 
@@ -43,17 +59,27 @@ def check_sum_sets(m: int, variant: str) -> None:
         transforms.append(len(values))
         return transform(values)
 
-    sumsets.walsh_hadamard = counted
+    sumsets.walsh_hadamard = codes.walsh_hadamard = counted
     try:
+        yield transforms
+    finally:
+        sumsets.walsh_hadamard = codes.walsh_hadamard = transform
+
+
+def check_sum_sets(m: int, variant: str) -> None:
+    with counted_transforms() as transforms:
         start = time.perf_counter()
-        base = build_omega(GF2m(m), 1, variant)
+        ctx = GF2m(m)
+        base = build_omega(ctx, 1, variant)
         print(f"m={m}: family-1 {variant} set of {base.size} points built in"
               f" {time.perf_counter() - start:.2f}s", flush=True)
+        reports = []
         for include_zero in (False, True):
             start = time.perf_counter()
             before = len(transforms)
             omega = base.with_zero(include_zero)
             report = check_sum_set(omega, 3)
+            reports.append(report)
             forward = [] if include_zero else [1 << omega.ambient_dim]  # shared with zero
             assert transforms[before:] == forward, (m, variant, transforms)  # no inverse
             if variant == "code-column" and not include_zero:
@@ -67,14 +93,32 @@ def check_sum_sets(m: int, variant: str) -> None:
                 assert report == expected, (m, variant, include_zero)
                 print(f"m={m}: {label}, report == representation_counts' in"
                       f" {time.perf_counter() - start:.2f}s", flush=True)
-    finally:
-        sumsets.walsh_hadamard = transform
         sumsets._spectrum_memo.clear()  # the memo pins the last set and its 2^K spectrum
+        if variant == "code-column":
+            start = time.perf_counter()
+            before = len(transforms)
+            assert code_column_sum_sets(ctx, 1, 3) == reports, m
+            assert transforms[before:] == [], (m, transforms)
+            print(f"m={m}: code-column reports from the weights == the transform's in"
+                  f" {time.perf_counter() - start:.2f}s", flush=True)
+
+
+def check_weights_route(family: int, m: int) -> None:
+    with counted_transforms() as transforms:
+        start = time.perf_counter()
+        without, with_zero = code_column_sum_sets(GF2m(m), family, 3)
+        assert transforms == [], (family, m, transforms)
+    assert without.is_sum_set and not with_zero.is_sum_set, (family, m)
+    print(f"m={m}: family-{family} code-column sets of {without.set_size} points from the"
+          f" weights, sum set without zero only, no transform, in"
+          f" {time.perf_counter() - start:.2f}s", flush=True)
 
 
 def main() -> None:
     for m, variant in SUMSET_CASES:
         check_sum_sets(m, variant)
+    for family, m in WEIGHTS_ROUTE_CASES:
+        check_weights_route(family, m)
     for m in SWEEP_DEGREES:
         start = time.perf_counter()
         records = list(conformance_sweep(GF2m(m)))

@@ -16,6 +16,7 @@ from oracles import (
     gray_codewords,
     largest_irreducible,
     matrix_rank,
+    pless_dual_counts_by_fractions,
     row_reduce,
 )
 from tracecodes import TooLargeError
@@ -62,6 +63,43 @@ def test_pless_rejects_inconsistent_distribution():
     # fractional solution
     with pytest.raises(ValueError):
         pless_dual_counts({0: 1, 1: 3}, n=1, k=2)
+
+
+def random_distributions(rng: random.Random, count: int):
+    """(wd, n, k, q): the weights of random binary codes, rank-deficient ones
+    included, and random splits of q^k over a few weights, mostly inconsistent."""
+    for _ in range(count):
+        k, n = rng.randint(0, 6), rng.randint(0, 12)
+        if rng.random() < 0.4:
+            rows = tuple(rng.getrandbits(n) for _ in range(k))
+            yield weight_distribution(BinaryLinearCode(n=n, k=k, rows=rows)), n, k, 2
+            continue
+        q = rng.choice((2, 3))
+        weights = rng.sample(range(n + 1), rng.randint(1, min(4, n + 1)))
+        cuts = sorted(rng.randint(0, q**k) for _ in weights[1:])
+        counts = [b - a for a, b in zip([0] + cuts, cuts + [q**k])]
+        if rng.random() < 0.1:
+            counts[0] += 1  # a wrong total
+        yield dict(zip(weights, counts)), n, k, q
+
+
+def test_pless_dual_counts_match_the_fraction_oracle():
+    def outcome(solve, wd, n, k, q):
+        try:
+            return tuple(solve(wd, n, k, q))
+        except ValueError as exc:
+            return str(exc)
+
+    cases = [({0: 1, 1: 1}, 1, 1, 2), ({0: 1, 1: 3}, 1, 2, 2), ({2: 4}, 2, 2, 2), ({0: 1}, 3, 0, 2)]
+    cases += random_distributions(random.Random(4099), 600)
+    seen = set()
+    for wd, n, k, q in cases:
+        got = outcome(pless_dual_counts, wd, n, k, q)
+        assert got == outcome(pless_dual_counts_by_fractions, wd, n, k, q), (wd, n, k, q)
+        seen.add(got if isinstance(got, str) else "solved")
+    # solved, both counts refused, fractional and negative, and wrong totals
+    kinds = {"solved", "weight-1", "weight-2", "/", "solves to -", "sums to"}
+    assert all(any(kind in text for text in seen) for kind in kinds), seen
 
 
 def test_pless_moment_identities_substitute_back():

@@ -193,6 +193,22 @@ def test_sumset_huge_s_exits_3_at_once(capsys):
         assert time.monotonic() - start < 20.0
 
 
+def test_sumset_large_s_is_priced_by_the_values_powered(capsys):
+    # 4 x 2^16 powered entries would be 295895040 bits, over the 2^28 guard; the
+    # paper-column sets power at most |set minus 0| + 1 values of t, the code-column
+    # sets their 3
+    argv = ("sumset", "--family", "1", "--m", "8", "--s", "301", "--format", "json")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    reports = json.loads(out)["reports"]
+    assert [(r["variant"], r["is_sum_set"]) for r in reports] == [
+        ("paper-column", False),
+        ("paper-column", False),
+        ("code-column", True),
+        ("code-column", False),
+    ]
+
+
 def test_sumset_family2_even_m_is_usage_error(capsys):
     rc, _, err = run(capsys, "sumset", "--family", "2", "--m", "4")
     assert rc == 2

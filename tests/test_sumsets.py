@@ -17,7 +17,7 @@ from oracles import (
     symmetric_three_weight,
     xor_convolve,
 )
-from tracecodes import TooLargeError, cli, sumsets
+from tracecodes import TooLargeError, cli, codes, sumsets
 from tracecodes.analysis import closed_form_distribution
 from tracecodes.codes import (
     defining_columns,
@@ -30,6 +30,7 @@ from tracecodes.sumsets import (
     OmegaSet,
     build_omega,
     check_sum_set,
+    code_column_sum_sets,
     representation_counts,
     sum_set_witness,
 )
@@ -153,6 +154,22 @@ def test_huge_s_is_refused_before_any_transform(monkeypatch):
         representation_counts(omega, 9)
 
 
+def test_power_guard_counts_the_values_each_route_powers(monkeypatch, transform_calls):
+    # 4 points (3 bits); t takes at most min(2^4, 3 + 1) = 4 values
+    omega = hand_set(4, (1, 2, 3), include_zero=True)
+    monkeypatch.setattr(sumsets, "POWER_MAX_BITS", 4 * 7 * 3)
+    check_sum_set(omega, 7)
+    with pytest.raises(TooLargeError, match=r"estimated at 108 bits \(min\(2\^K, "):
+        check_sum_set(omega, 9)
+    assert transform_calls == [16]  # the refused check ran none
+    # family 1 at m = 3: 32 columns (33 points with zero, 6 bits), t takes 3 values
+    monkeypatch.setattr(sumsets, "POWER_MAX_BITS", 3 * 7 * 6)
+    assert len(code_column_sum_sets(GF2m(3), 1, 7)) == 2
+    with pytest.raises(TooLargeError, match=r"estimated at 162 bits \(3 values of t \*"):
+        code_column_sum_sets(GF2m(3), 1, 9)
+    assert transform_calls == [16]
+
+
 def test_transform_counts_match_naive_oracle():
     cases = [
         hand_set(3, (1, 2, 4, 7)),
@@ -247,6 +264,39 @@ def test_code_column_sets_without_zero_are_sum_sets():
         assert report.is_sum_set, (family, m, s)
         assert (report.sigma_members, report.sigma_outside) == (sig_in, sig_out)
         assert report.count_at_zero == at_zero
+
+
+def test_code_column_sets_from_weights_match_the_transform_route(transform_calls):
+    for family, degrees in ((1, range(2, 8)), (2, (3, 5, 7))):
+        for m in degrees:
+            for poly in (0, largest_irreducible(m)):
+                ctx = GF2m(m, poly)
+                base = build_omega(ctx, family, "code-column")
+                for s in (3, 5, 7, 9, 11):
+                    before = len(transform_calls)
+                    from_weights = code_column_sum_sets(ctx, family, s)
+                    assert len(transform_calls) == before  # no transform
+                    from_vectors = [check_sum_set(base.with_zero(z), s) for z in (False, True)]
+                    assert from_weights == from_vectors, (family, m, poly, s)
+                    assert code_column_sum_sets(ctx, family, s, (True,)) == from_vectors[1:]
+
+
+def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch, request):
+    with pytest.raises(ValueError, match="odd m"):
+        code_column_sum_sets(GF2m(4), 2, 3)
+    with pytest.raises(ValueError, match="odd"):
+        code_column_sum_sets(GF2m(3), 1, 4)
+    monkeypatch.setattr(sumsets, "distinct_nonzero_columns", lambda ctx: False)
+    with pytest.raises(AssertionError, match="zero or repeated column"):
+        code_column_sum_sets(GF2m(3), 1, 3)
+    monkeypatch.undo()
+    # only x = 1 keeps its y's: a code of rank m + 1 < 2m, so t(u) = n - 2 wt(u) misses
+    # the u != 0 of weight 0
+    monkeypatch.setattr(codes, "membership_form", lambda ctx, family, x: (0, int(x != 1)))
+    codes.enumerate_defining_set.cache_clear()
+    request.addfinalizer(codes.enumerate_defining_set.cache_clear)
+    with pytest.raises(AssertionError, match="rank deficient"):
+        code_column_sum_sets(GF2m(3), 1, 3)
 
 
 def test_code_column_sets_with_zero_are_not_sum_sets():
@@ -386,12 +436,26 @@ def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, ca
     # a forward transform per point set; the three inverses name the text's witnesses
     # for the sets that are not sum sets
     assert transform_calls == [256] * 5
-    for family, m, paper_dim, code_dim in ((1, 8, 16, 16), (2, 5, 15, 10)):
+    for family, m, paper_dim in ((1, 8, 16), (2, 5, 15)):
         del transform_calls[:]
         argv = ["sumset", "--family", str(family), "--m", str(m), "--format", "json"]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        assert transform_calls == [1 << paper_dim, 1 << code_dim]  # one forward per point set
+        # the paper-column set's forward transform; the code-column sets come from the weights
+        assert transform_calls == [1 << paper_dim]
+
+
+def test_sumset_json_builds_no_code_column_set(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("code-column vectors built")
+
+    monkeypatch.setattr(sumsets, "defining_columns", refused)
+    argv = ["sumset", "--family", "1", "--m", "4", "--variant", "code-column", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert '"any_sum_set": true' in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="vectors built"):  # the text witness needs them
+        cli.main(argv[:-2])
+    capsys.readouterr()
 
 
 def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
