@@ -194,7 +194,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
             base = build_omega(ctx, args.family, variant)
             as_built = base.include_zero
         groups.append((variant, chosen or (as_built,), base))
-    for variant, flags, base in groups:
+    for _, flags, base in groups:
         for flag in flags:
             if base is None:
                 size = len(enumerate_defining_set(ctx, args.family)) + flag

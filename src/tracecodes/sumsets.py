@@ -271,8 +271,8 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     alpha = (|set|^s - beta * |nonzero members| - gamma) / 2^K is the count
     outside and alpha + beta the count on members.  When t is constant off
     u = 0 the nonzero members are none or all of them and beta = 0.  The
-    count at zero is 2^-K * sum of T(u)^s over the histogram of t.  One
-    forward transform and no inverse is run; `sum_set_witness` names a pair
+    count at zero is 2^-K * sum of T(u)^s over the histogram of t.  It runs
+    one forward transform and no inverse; `sum_set_witness` names a pair
     of vectors that shows a set is not a sum set.  The power guard counts
     the values of t before the transform: they lie in
     [-|nonzero members|, |nonzero members|] and share one parity, so there

@@ -430,12 +430,17 @@ def test_power_line_holds_for_one_odd_power_and_not_the_next():
     assert sumsets._power_line({4: 5}) == (0, 5)  # one value: beta = 0
 
 
-def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, capsys):
+def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, capsys, monkeypatch):
     assert cli.main(["sumset", "--family", "1", "--m", "4"]) == 0
     assert "code-column, zero excluded, size 128: sum set" in capsys.readouterr().out
     # a forward transform per point set; the three inverses name the text's witnesses
-    # for the sets that are not sum sets
+    # for the sets that are not sum sets, the code-column set with zero built for its own
     assert transform_calls == [256] * 5
+
+    def refused(*args):
+        raise AssertionError("code-column vectors built")
+
+    monkeypatch.setattr(sumsets, "defining_columns", refused)
     for family, m, paper_dim in ((1, 8, 16), (2, 5, 15)):
         del transform_calls[:]
         argv = ["sumset", "--family", str(family), "--m", str(m), "--format", "json"]
@@ -443,19 +448,6 @@ def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, ca
         capsys.readouterr()
         # the paper-column set's forward transform; the code-column sets come from the weights
         assert transform_calls == [1 << paper_dim]
-
-
-def test_sumset_json_builds_no_code_column_set(monkeypatch, capsys):
-    def refused(*args):
-        raise AssertionError("code-column vectors built")
-
-    monkeypatch.setattr(sumsets, "defining_columns", refused)
-    argv = ["sumset", "--family", "1", "--m", "4", "--variant", "code-column", "--format", "json"]
-    assert cli.main(argv) == 0
-    assert '"any_sum_set": true' in capsys.readouterr().out
-    with pytest.raises(AssertionError, match="vectors built"):  # the text witness needs them
-        cli.main(argv[:-2])
-    capsys.readouterr()
 
 
 def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
