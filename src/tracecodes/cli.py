@@ -20,13 +20,7 @@ from .analysis import VerificationReport, verify
 from .charsums import conformance_sweep
 from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
 from .field import GF2m
-from .sumsets import (
-    VARIANTS,
-    build_omega,
-    check_sum_set,
-    code_column_sum_sets,
-    sum_set_witness,
-)
+from .sumsets import COUNTED_VARIANTS, VARIANTS, build_omega, counted_sum_sets, sum_set_witness
 from .walsh import TooLargeError
 
 
@@ -173,12 +167,11 @@ def _require_printable_counts(size: int, s: int) -> None:
 
 
 def _cmd_sumset(args: argparse.Namespace) -> int:
-    """Decide each requested point set; code-column sets come from the code's weights.
+    """Decide each requested point set by counting, with no vectors and no transform.
 
     Every set's printed counts are guarded before any set is decided.  A
-    code-column set has one point per defining pair, the defining set being
-    memoised and already built for a paper-column set; its vectors are built
-    only for the text witness of a set that is not a sum set.
+    set's vectors are built only for the text witness of a set that is not
+    a sum set.
     """
     if args.family == 2 and args.m % 2 == 0:
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
@@ -186,31 +179,20 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     ctx = GF2m(args.m)
     variants = list(VARIANTS) if args.variant == "both" else [args.variant]
     chosen = {"with": (True,), "without": (False,), "both": (False, True)}.get(args.zero)
-    groups = []  # (variant, zero flags, point set or None for the code-column set)
+    groups = []  # (counted set, zero flags)
     for variant in variants:
-        if variant == "code-column":
-            base, as_built = None, False  # zero is no generator column
-        else:
-            base = build_omega(ctx, args.family, variant)
-            as_built = base.include_zero
-        groups.append((variant, chosen or (as_built,), base))
-    for _, flags, base in groups:
+        counted = COUNTED_VARIANTS[variant](ctx, args.family)
+        groups.append((counted, chosen or (counted.zero_as_built,)))
+    for counted, flags in groups:
         for flag in flags:
-            if base is None:
-                size = len(enumerate_defining_set(ctx, args.family)) + flag
-            else:
-                size = base.with_zero(flag).size
-            _require_printable_counts(size, args.s)
+            _require_printable_counts(counted.members + flag, args.s)
     reports, witnesses = [], []
-    for variant, flags, base in groups:
-        if base is None:
-            decided = code_column_sum_sets(ctx, args.family, args.s, flags)
-        else:
-            decided = [check_sum_set(base.with_zero(flag), args.s) for flag in flags]
-        for report in decided:  # a witness reads the set's spectrum while it is still memoised
+    for counted, flags in groups:
+        omega = None
+        for report in counted_sum_sets(counted, args.s, flags):
             witness = None
             if args.format == "text" and not report.is_sum_set:
-                omega = build_omega(ctx, args.family, variant) if base is None else base
+                omega = omega or build_omega(ctx, args.family, counted.variant)
                 witness = sum_set_witness(omega.with_zero(report.include_zero), args.s)
             reports.append(report)
             witnesses.append(witness)

@@ -12,12 +12,13 @@ members, over u != 0: with T = t + [0 in set], the set is an s-sum set iff
 T(u)^s = beta * t(u) + gamma at every u != 0, so it is read off the
 distinct values of t, and the count at zero off their histogram.  The
 zero flag adds 1 to every entry, so a set with and without zero share one
-histogram.  There are two sources of it.  `check_sum_set` takes any
-`OmegaSet` and runs one forward transform, no inverse.
-`code_column_sum_sets` takes a family's code-column set, the distinct
-nonzero generator columns of a code with n columns, whose transform is
-t(u) = n - 2 wt(u) (Calderbank-Kantor), and reads the histogram off the
-code's weight distribution: no vectors and no transform.
+histogram.  `check_sum_set` takes any `OmegaSet` and runs one forward
+transform, no inverse.  A family's two sets need no vectors and no
+transform: `code_column_counts` reads the histogram of the code-column
+set, the distinct nonzero generator columns of a code with n columns,
+off the code's weight distribution, t(u) = n - 2 wt(u) (Calderbank-Kantor);
+`paper_column_counts` counts that of the paper-column set per x; and
+`counted_sum_sets` decides either.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .codes import (
     defining_columns,
     distinct_nonzero_columns,
     enumerate_defining_set,
     hyperplane_distribution,
+    membership_form,
 )
 from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
@@ -295,20 +298,29 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     )
 
 
-def code_column_sum_sets(
-    ctx: GF2m, family: int, s: int, zero_flags: Sequence[bool] = (False, True)
-) -> list[SumSetReport]:
-    """`check_sum_set` of the family's code-column set, once per zero flag,
-    from the code's weight distribution.
+class CountedSet(NamedTuple):
+    """A family point set known by counting: its K, its nonzero members, whether
+    zero is a member as built, and the histogram of t over u != 0."""
+
+    family: int
+    m: int
+    variant: str
+    dim: int
+    members: int
+    zero_as_built: bool
+    histogram: dict[int, int]
+
+
+def code_column_counts(ctx: GF2m, family: int) -> CountedSet:
+    """The family's code-column set from the code's weight distribution.
 
     The set is the code's n generator columns in F_2^(2m), with zero not a
     member as built.  When they are distinct and nonzero and the code has
     full rank, t(u) = n - 2 wt(u) at every u and only u = 0 has weight 0, so
     the histogram of t over u != 0 is {n - 2w: A_w} over the nonzero
     weights w of `hyperplane_distribution`, in O(q); AssertionError if
-    either condition fails.  The power guard counts the distinct values of t.
+    either condition fails.
     """
-    _check_odd_power(s)
     _check_family(ctx, family)
     n, wd = hyperplane_distribution(ctx, family)
     if wd.get(0) != 1:
@@ -316,12 +328,97 @@ def code_column_sum_sets(
     if not distinct_nonzero_columns(ctx):
         raise AssertionError(f"family {family} code at m = {ctx.m} has a zero or repeated column")
     histogram = {n - 2 * w: count for w, count in wd.items() if w}
-    dim, values = 2 * ctx.m, len(histogram)
+    return CountedSet(family, ctx.m, "code-column", 2 * ctx.m, n, False, histogram)
+
+
+def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
+    """The family's paper-column set counted per x, with no vectors and no transform.
+
+    A message, its m-bit parts read as field elements (alpha, beta), or
+    (alpha, gamma, beta) for family 2, takes the value
+    trace((alpha x^2 + beta) y [+ gamma x]) at the image of pair (x, y).
+    `membership_form` must give u_x = x^2 + 1 and c_x = 0 (family 1) or x
+    (family 2), and `distinct_nonzero_columns` must hold, so that distinct
+    pairs with y != 0 have distinct nonzero images; AssertionError
+    otherwise.  For x not in {0, 1} the sum over the y of x is
+    (q/2)([alpha x^2 = beta] + (-1)^trace(c_x) [alpha x^2 + u_x = beta]):
+    x votes for two betas.  x = 1 has u_x = 0: its sum is q [alpha = beta]
+    for family 1; for family 2 it has no y at odd m.
+    - Family 1: every pair (x, 0) maps to zero, a member as built, so
+      t = (q/2) votes + q [alpha = beta] - (q - 1).
+    - Family 2: no pair maps to zero.  At alpha = beta in {0, 1} every x
+      votes, with sign trace(beta x), so t = (q/2)(q [gamma = beta] - 1 -
+      (-1)^trace(gamma + beta)).  Elsewhere at most two distinct x vote,
+      and over gamma their signs take each pattern q / 2^votes times.
+    Squaring is a bijection, so for alpha not in {0, 1} the votes depend on
+    beta only through beta in {0, 1, alpha}: that histogram is counted once,
+    at alpha = 2, and weighted q - 2.  O(q) in all.
+    """
+    _check_family(ctx, family)
+    if not distinct_nonzero_columns(ctx):
+        raise AssertionError(f"trace coordinates at m = {ctx.m} are not a bijection")
+    q, half = ctx.size, ctx.size >> 1
+    squares = {}  # u_x = x^2 + 1 -> x^2, for the x not in {0, 1}
+    for x in ctx.units():
+        xx = ctx.mul(x, x)
+        if membership_form(ctx, family, x) != (xx ^ 1, x if family == 2 else 0):
+            raise AssertionError(f"family {family} membership at m = {ctx.m} is not the paper's")
+        squares[xx ^ 1] = xx
+    del squares[0]
+    patterns = [{half * (votes - 2 * j): comb(votes, j) * q >> votes for j in range(votes + 1)}
+                for votes in range(3)]
+    flat = {half * (q - 2): 1, -q: half - 1, 0: half}  # t over gamma where every x votes
+    histogram: Counter[int] = Counter()
+    for alpha, copies in ((0, 1), (1, 1), (2, q - 2)):
+        row = mul_row(ctx, alpha)
+        votes = Counter(row[xx] ^ b for u, xx in squares.items() for b in (0, u))
+        for beta in ctx.elements():
+            if family == 1:
+                values = {half * votes[beta] + q * (alpha == beta) - q + 1: 1}
+            else:
+                values = flat if alpha == beta < 2 else patterns[votes[beta]]
+            for t, count in values.items():
+                histogram[t] += count * copies
+    # t at u = 0, the pairs with a nonzero image: q/2 per x not in {0, 1}, less
+    # (x, 0) and plus the q - 1 nonzero y of x = 1 for family 1
+    members = half * (q - 2) + (family == 1)
+    histogram[members] -= 1
+    dim = 2 * ctx.m if family == 1 else 3 * ctx.m
+    return CountedSet(family, ctx.m, "paper-column", dim, members, family == 1, +histogram)
+
+
+def counted_sum_sets(
+    counted: CountedSet, s: int, zero_flags: Sequence[bool] = (False, True)
+) -> list[SumSetReport]:
+    """`check_sum_set` of a counted set, once per zero flag; the power guard
+    counts the distinct values of t."""
+    _check_odd_power(s)
+    family, m, variant, dim, members, _, histogram = counted
+    values = len(histogram)
     reports = []
     for include_zero in zero_flags:
-        _check_power_cost(s, n + include_zero, dim, values, f"{values} values of t")
-        reports.append(_report(family, ctx.m, "code-column", dim, n, include_zero, histogram, s))
+        _check_power_cost(s, members + include_zero, dim, values, f"{values} values of t")
+        reports.append(_report(family, m, variant, dim, members, include_zero, histogram, s))
     return reports
+
+
+def code_column_sum_sets(
+    ctx: GF2m, family: int, s: int, zero_flags: Sequence[bool] = (False, True)
+) -> list[SumSetReport]:
+    """`check_sum_set` of the family's code-column set, once per zero flag,
+    from the code's weights; see `code_column_counts`."""
+    return counted_sum_sets(code_column_counts(ctx, family), s, zero_flags)
+
+
+def paper_column_sum_sets(
+    ctx: GF2m, family: int, s: int, zero_flags: Sequence[bool] = (False, True)
+) -> list[SumSetReport]:
+    """`check_sum_set` of the family's paper-column set, once per zero flag,
+    counted per x; see `paper_column_counts`."""
+    return counted_sum_sets(paper_column_counts(ctx, family), s, zero_flags)
+
+
+COUNTED_VARIANTS = {"paper-column": paper_column_counts, "code-column": code_column_counts}
 
 
 def sum_set_witness(omega: OmegaSet, s: int) -> tuple[int, int] | None:

@@ -1,8 +1,9 @@
 """Library `verify` for every family at m = 9..16, past the transform guard,
 the character-sum conformance sweep at m = 7 and 8, and sum sets past the
-CLI's cap: family-1 sets at m = 9 and 10 by transform, and code-column
-sets of family 1 at m = 9..16 and family 2 at odd m = 11..15 from the
-code's weights.
+CLI's cap: family-1 sets at m = 9 and 10 by transform, code-column sets of
+family 1 at m = 9..16 and family 2 at odd m = 11..15 from the code's
+weights, and paper-column sets of family 1 at m = 9..16 and family 2 at
+odd m = 7..15 counted per x.
 
 Asserts each report is ok, at m = 9 and 10 that the per-x hyperplane
 counts agree with the transform of the defining set's column counts, and
@@ -12,10 +13,15 @@ s = 3 with zero excluded and included, it asserts that `check_sum_set`
 runs one forward transform per point set and no inverse, that the
 code-column set without zero is a sum set, at m = 9 that every verdict
 equals the one read off `representation_counts`, and at m = 9 and 10 that
-`code_column_sum_sets` gives the code-column reports without a transform.
-From m = 11 on, `code_column_sum_sets` alone decides the code-column sets
-at s = 3, with no transform: the set without zero is a sum set and the
-set with zero is not.  Prints the wall time of each step.  pytest does
+`code_column_sum_sets` gives the code-column reports without a transform,
+and at m = 9 that `paper_column_sum_sets` gives the paper-column reports
+without one.  From m = 11 on, `code_column_sum_sets` alone decides the
+code-column sets at s = 3, with no transform: the set without zero is a
+sum set and the set with zero is not.  `paper_column_counts` alone, with
+no transform, gives each paper-column set at least 4 distinct values of t
+over u != 0, so that set is no s-sum set for any odd s >= 3 (the third
+divided difference of x^s over 4 distinct reals is positive); its reports
+at s = 3 say so.  Prints the wall time of each step.  pytest does
 not collect this file.  Run:
 
     PYTHONPATH=src python tests/scale_check.py
@@ -37,6 +43,9 @@ from tracecodes.sumsets import (
     build_omega,
     check_sum_set,
     code_column_sum_sets,
+    counted_sum_sets,
+    paper_column_counts,
+    paper_column_sum_sets,
     representation_counts,
 )
 
@@ -47,6 +56,7 @@ SWEEP_DEGREES = (7, 8)
 SUMSET_CASES = ((9, "code-column"), (9, "paper-column"), (10, "code-column"))
 SUMSET_ORACLE_DEGREES = (9,)
 WEIGHTS_ROUTE_CASES = tuple((1, m) for m in range(11, 17)) + tuple((2, m) for m in (11, 13, 15))
+COUNTING_ROUTE_CASES = tuple((1, m) for m in range(9, 17)) + tuple((2, m) for m in range(7, 16, 2))
 
 
 @contextmanager
@@ -101,6 +111,13 @@ def check_sum_sets(m: int, variant: str) -> None:
             assert transforms[before:] == [], (m, transforms)
             print(f"m={m}: code-column reports from the weights == the transform's in"
                   f" {time.perf_counter() - start:.2f}s", flush=True)
+        else:
+            start = time.perf_counter()
+            before = len(transforms)
+            assert paper_column_sum_sets(ctx, 1, 3) == reports, m
+            assert transforms[before:] == [], (m, transforms)
+            print(f"m={m}: paper-column reports counted per x == the transform's in"
+                  f" {time.perf_counter() - start:.2f}s", flush=True)
 
 
 def check_weights_route(family: int, m: int) -> None:
@@ -114,11 +131,27 @@ def check_weights_route(family: int, m: int) -> None:
           f" {time.perf_counter() - start:.2f}s", flush=True)
 
 
+def check_counting_route(family: int, m: int) -> None:
+    with counted_transforms() as transforms:
+        start = time.perf_counter()
+        counted = paper_column_counts(GF2m(m), family)
+        reports = counted_sum_sets(counted, 3)
+        assert transforms == [], (family, m, transforms)
+    # P, the values of T = t + [0 in set], has as many values as t
+    assert len(counted.histogram) >= 4, (family, m, counted.histogram)
+    assert not any(r.is_sum_set for r in reports), (family, m)
+    print(f"m={m}: family-{family} paper-column set of {counted.members} nonzero points counted"
+          f" per x, {len(counted.histogram)} values of t, no sum set, no transform, in"
+          f" {time.perf_counter() - start:.2f}s", flush=True)
+
+
 def main() -> None:
     for m, variant in SUMSET_CASES:
         check_sum_sets(m, variant)
     for family, m in WEIGHTS_ROUTE_CASES:
         check_weights_route(family, m)
+    for family, m in COUNTING_ROUTE_CASES:
+        check_counting_route(family, m)
     for m in SWEEP_DEGREES:
         start = time.perf_counter()
         records = list(conformance_sweep(GF2m(m)))

@@ -176,6 +176,18 @@ def test_sumset_too_large_exits_3(capsys):
     assert "error:" in err
 
 
+def test_sumset_json_decides_the_paper_column_set_past_the_transform_guard(capsys):
+    # K = 21: text builds the set for its witness and exits 3 (above); JSON builds nothing
+    argv = ("sumset", "--family", "2", "--m", "7", "--variant", "paper-column", "--format", "json")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (1, "")
+    reports = json.loads(out)["reports"]
+    assert [(r["include_zero"], r["is_sum_set"]) for r in reports] == [
+        (False, False),
+        (True, False),
+    ]
+
+
 def test_sumset_huge_s_exits_3_at_once(capsys):
     cases = [
         # 2^16 spectrum entries of about 16 million bits each would need about 100 GB
@@ -195,8 +207,7 @@ def test_sumset_huge_s_exits_3_at_once(capsys):
 
 def test_sumset_large_s_is_priced_by_the_values_powered(capsys):
     # 4 x 2^16 powered entries would be 295895040 bits, over the 2^28 guard; the
-    # paper-column sets power at most |set minus 0| + 1 values of t, the code-column
-    # sets their 3
+    # paper-column sets power their 4 values of t, the code-column sets their 3
     argv = ("sumset", "--family", "1", "--m", "8", "--s", "301", "--format", "json")
     rc, out, err = run(capsys, *argv)
     assert (rc, err) == (0, "")

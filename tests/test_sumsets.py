@@ -31,6 +31,8 @@ from tracecodes.sumsets import (
     build_omega,
     check_sum_set,
     code_column_sum_sets,
+    paper_column_counts,
+    paper_column_sum_sets,
     representation_counts,
     sum_set_witness,
 )
@@ -299,6 +301,50 @@ def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch, re
         code_column_sum_sets(GF2m(3), 1, 3)
 
 
+def test_paper_column_sets_from_counts_match_the_transform_route(transform_calls):
+    for family, degrees in ((1, range(2, 9)), (2, (3, 5))):
+        for m in degrees:
+            for poly in (0, largest_irreducible(m)):
+                ctx = GF2m(m, poly)
+                base = build_omega(ctx, family, "paper-column")
+                counted = paper_column_counts(ctx, family)
+                assert (counted.dim, counted.members, counted.zero_as_built) == (
+                    base.ambient_dim, len(base.vectors), base.include_zero
+                ), (family, m, poly)
+                # the values of T = t + [0 in set] number at least 4: no odd s >= 3 fits a line
+                assert len(counted.histogram) >= 4, (family, m, poly)
+                for s in (3, 5, 7, 9, 11):
+                    before = len(transform_calls)
+                    from_counts = paper_column_sum_sets(ctx, family, s)
+                    assert len(transform_calls) == before  # no transform
+                    from_vectors = [check_sum_set(base.with_zero(z), s) for z in (False, True)]
+                    assert from_counts == from_vectors, (family, m, poly, s)
+                    assert paper_column_sum_sets(ctx, family, s, (True,)) == from_vectors[1:]
+
+
+def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch, request):
+    with pytest.raises(ValueError, match="odd m"):
+        paper_column_sum_sets(GF2m(4), 2, 3)
+    with pytest.raises(ValueError, match="odd"):
+        paper_column_sum_sets(GF2m(3), 1, 4)
+    request.addfinalizer(codes.enumerate_defining_set.cache_clear)
+    forms = (
+        lambda ctx, family, x: (ctx.mul(x, x) ^ x, 0),  # family 3's u
+        lambda ctx, family, x: (ctx.mul(x, x) ^ 1, 0),  # family 1's c for family 2
+    )
+    for family, form in zip((1, 2), forms):
+        monkeypatch.setattr(codes, "membership_form", form)
+        monkeypatch.setattr(sumsets, "membership_form", form)
+        codes.enumerate_defining_set.cache_clear()
+        with pytest.raises(AssertionError, match="not the paper's"):
+            paper_column_sum_sets(GF2m(3), family, 3)
+    monkeypatch.undo()
+    # a trace-coordinate table that sends two elements to one vector
+    monkeypatch.setattr(codes, "trace_coordinates", lambda ctx: (0,) + tuple(range(ctx.size - 1)))
+    with pytest.raises(AssertionError, match="not a bijection"):
+        paper_column_sum_sets(GF2m(3), 1, 3)
+
+
 def test_code_column_sets_with_zero_are_not_sum_sets():
     for family, m in ((1, 2), (1, 3), (2, 3)):
         omega = build_omega(GF2m(m), family, "code-column").with_zero(True)
@@ -438,16 +484,17 @@ def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, ca
     assert transform_calls == [256] * 5
 
     def refused(*args):
-        raise AssertionError("code-column vectors built")
+        raise AssertionError("point-set vectors built")
 
-    monkeypatch.setattr(sumsets, "defining_columns", refused)
-    for family, m, paper_dim in ((1, 8, 16), (2, 5, 15)):
+    for name in ("build_omega", "enumerate_defining_set", "defining_columns"):
+        monkeypatch.setattr(sumsets, name, refused)
+    monkeypatch.setattr(cli, "build_omega", refused)
+    for family, m in ((1, 8), (2, 5)):
         del transform_calls[:]
         argv = ["sumset", "--family", str(family), "--m", str(m), "--format", "json"]
         assert cli.main(argv) == 0
         capsys.readouterr()
-        # the paper-column set's forward transform; the code-column sets come from the weights
-        assert transform_calls == [1 << paper_dim]
+        assert transform_calls == []  # both variants are counted, with no transform
 
 
 def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
