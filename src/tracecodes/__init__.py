@@ -6,75 +6,36 @@ checks, dual and minimality verdicts, and s-fold XOR sum-set tests for
 derived point sets.
 """
 
-from .analysis import (
-    DualCounts,
-    VerificationReport,
-    ab_minimal,
-    closed_form_distribution,
-    griesmer_classify,
-    is_minimal,
-    is_projective,
-    pless_dual_counts,
-    verify,
-)
-from .charsums import (
-    CharSumValue,
-    CoefficientSets,
-    coefficient_sets,
-    conformance_sweep,
-    family_char_sum_closed,
-    plain_char_sum_closed,
-)
-from .codes import (
-    FAMILIES,
-    BinaryLinearCode,
-    DefiningSet,
-    enumerate_defining_set,
-    generator_matrix,
-    minimum_distance,
-    weight_distribution,
-)
-from .field import DEFAULT_POLYS, GF2m, is_irreducible
-from .sumsets import (
-    OmegaSet,
-    SumSetReport,
-    build_omega,
-    check_sum_set,
-    representation_counts,
-)
-from .walsh import TooLargeError, walsh_hadamard
+from importlib import import_module
 
-__all__ = [
-    "BinaryLinearCode",
-    "CharSumValue",
-    "CoefficientSets",
-    "DEFAULT_POLYS",
-    "DefiningSet",
-    "DualCounts",
-    "FAMILIES",
-    "GF2m",
-    "OmegaSet",
-    "SumSetReport",
-    "TooLargeError",
-    "VerificationReport",
-    "ab_minimal",
-    "build_omega",
-    "check_sum_set",
-    "closed_form_distribution",
-    "coefficient_sets",
-    "conformance_sweep",
-    "enumerate_defining_set",
-    "family_char_sum_closed",
-    "generator_matrix",
-    "griesmer_classify",
-    "is_irreducible",
-    "is_minimal",
-    "is_projective",
-    "minimum_distance",
-    "pless_dual_counts",
-    "plain_char_sum_closed",
-    "representation_counts",
-    "verify",
-    "walsh_hadamard",
-    "weight_distribution",
-]
+# public name -> the module that defines it; each module is imported on the
+# first access to one of its names (PEP 562), so `import tracecodes.cli`
+# compiles only what the chosen subcommand runs
+_HOMES = {
+    "analysis": """
+        DualCounts VerificationReport ab_minimal closed_form_distribution griesmer_classify
+        is_minimal is_projective pless_dual_counts verify
+    """,
+    "charsums": """
+        CharSumValue CoefficientSets coefficient_sets conformance_sweep family_char_sum_closed
+        plain_char_sum_closed
+    """,
+    "codes": """
+        FAMILIES BinaryLinearCode DefiningSet enumerate_defining_set generator_matrix
+        minimum_distance weight_distribution
+    """,
+    "field": "DEFAULT_POLYS GF2m is_irreducible",
+    "sumsets": "OmegaSet SumSetReport build_omega check_sum_set representation_counts",
+    "walsh": "TooLargeError walsh_hadamard",
+}
+_MODULE_OF = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -1,8 +1,11 @@
-"""Character sums over GF(2^m), one pass over x, and their closed forms.
+"""Character sums over GF(2^m), one a at a time, and their closed forms.
 
 Every sum here is an exact integer: summands are (-1)^t with t a trace bit.
-The conformance sweep reads every (a, b) from one table per sum, built in
-one pass over the units x with the family's `codes.membership_form`.
+For fixed x the sum over y of (-1)^trace((u + a*x)*y) is q at the one a with
+a*x = u and 0 at every other a, so the observed row of a sum at a, over b,
+is q * sum over x in R_a of (-1)^(trace(c) + trace(b*x)), with R_a the
+units that `codes.slope_classes` groups at a.  The closed form at a depends
+on b only through [b = 0] and one trace bit trace(ell*b) (`case_rule`).
 Closed forms with a genuinely undetermined sign return both candidates,
 and conformance means membership.
 """
@@ -10,13 +13,12 @@ and conformance means membership.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .codes import membership_form
-from .field import FieldElement, GF2m, mul_row, trace_table, unit_inverses
-from .walsh import zero_vector
+from .codes import slope_classes
+from .field import FieldElement, GF2m, mul_row, trace_table
 
 
 @dataclass(frozen=True)
@@ -54,25 +56,86 @@ def coefficient_sets(ctx: GF2m) -> CoefficientSets:
     return CoefficientSets(reciprocal_sums=recip, units_except_one=units)
 
 
-def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
-    """S(a, b) at index a | b << m for every (a, b); family None is the plain sum.
+class CaseRule(NamedTuple):
+    """Closed form of one sum at one a, for every b with (a, b) != (0, 0).
 
-    S(a, b) sums (-1)^(trace(u*y + c) + trace(a*x*y + b*x)) over x != 0 and
-    every y, with (u, c) the family's `membership_form` at x, or (0, 0) for
-    the plain sum.  For fixed x the sum over y is q at the one a with a*x = u and 0 at
-    every other a, so each x adds q * (-1)^(trace(c) + trace(b*x)) over b at
-    a = u*x^-1 only.
+    The value at b is by_bit[trace(ell*b)], except at b = 0 where at_zero
+    is given; ell = 0 when the value does not depend on b.
     """
-    q, tr = ctx.size, trace_table(ctx)
-    inverses = unit_inverses(ctx)
-    table = zero_vector(2 * ctx.m)
-    for x in ctx.units():
-        u, c = (0, 0) if family is None else membership_form(ctx, family, x)
-        a = ctx.mul(u, inverses[x])
-        sign = -q if tr[c] else q
-        row = [-sign if tr[bx] else sign for bx in mul_row(ctx, x)]  # over b
-        table[a::q] = map(add, table[a::q], row)
-    return table
+
+    ell: FieldElement
+    by_bit: tuple[CharSumValue, CharSumValue]
+    at_zero: CharSumValue | None = None
+
+    @property
+    def values(self) -> tuple[CharSumValue, ...]:
+        """by_bit, then at_zero if the rule has one: the values `picks` indexes."""
+        return self.by_bit if self.at_zero is None else self.by_bit + (self.at_zero,)
+
+    def picks(self, ctx: GF2m) -> list[int]:
+        """Index into `values` of the closed form at each b, in O(q)."""
+        tr = trace_table(ctx)
+        picks = [tr[z] for z in mul_row(ctx, self.ell)]
+        if self.at_zero is not None:
+            picks[0] = 2
+        return picks
+
+    def value(self, ctx: GF2m, b: FieldElement) -> CharSumValue:
+        if b == 0 and self.at_zero is not None:
+            return self.at_zero
+        return self.by_bit[trace_table(ctx)[ctx.mul(self.ell, b)]]
+
+
+def _constant(value: CharSumValue) -> CaseRule:
+    return CaseRule(0, (value, value))
+
+
+def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
+    """The case table of the plain sum (family None) or a family sum at a.
+
+    ell is 1 at a = 0, a for families 1 and 2 at a in the reciprocal-sum
+    set and a + 1 for family 3 at a unit a != 1; every other rule is
+    constant in b.  Family 2 reads trace(a*(b + 1)) = trace(a*b) + trace(a),
+    so trace(a) orders its two values; it requires odd m.
+    """
+    q = ctx.size
+    if family is None:
+        return _constant(CharSumValue((-q,), "a=0, b!=0") if a == 0 else CharSumValue((0,), "a!=0"))
+    if family not in (1, 2, 3):
+        raise ValueError(f"family must be 1, 2 or 3, got {family}")
+    if family == 2 and ctx.m % 2 == 0:
+        raise ValueError("family-2 closed form is stated for odd m only")
+    if a == 0:
+        s = -q if family == 2 else q
+        return CaseRule(
+            1, (CharSumValue((s,), "a=0, trace(b)=0"), CharSumValue((-s,), "a=0, trace(b)=1"))
+        )
+    if family == 3:
+        if a == 1:
+            return _constant(CharSumValue((0,), "a=1"))
+        return CaseRule(
+            a ^ 1,
+            (
+                CharSumValue((q,), "a unit !=1, trace((a+1)*b)=0"),
+                CharSumValue((-q,), "a unit !=1, trace((a+1)*b)=1"),
+            ),
+        )
+    if a not in coefficient_sets(ctx).reciprocal_sums:
+        return _constant(CharSumValue((0,), "a outside reciprocal-sum set"))
+    if family == 1:
+        return CaseRule(
+            a,
+            (
+                CharSumValue((-2 * q, 2 * q), "a in reciprocal-sum set, trace(a*b)=0"),
+                CharSumValue((0,), "a in reciprocal-sum set, trace(a*b)=1"),
+            ),
+            CharSumValue((2 * q,), "a in reciprocal-sum set, b=0"),
+        )
+    by_bit = (
+        CharSumValue((-2 * q, 2 * q), "a in reciprocal-sum set, trace(a*(b+1))=0"),
+        CharSumValue((0,), "a in reciprocal-sum set, trace(a*(b+1))=1"),
+    )
+    return CaseRule(a, by_bit[::-1] if trace_table(ctx)[a] else by_bit)
 
 
 def _require_nonzero_pair(a: FieldElement, b: FieldElement) -> None:
@@ -82,62 +145,52 @@ def _require_nonzero_pair(a: FieldElement, b: FieldElement) -> None:
 
 def plain_char_sum_closed(ctx: GF2m, a: FieldElement, b: FieldElement) -> CharSumValue:
     _require_nonzero_pair(a, b)
-    if a == 0:
-        return CharSumValue((-ctx.size,), "a=0, b!=0")
-    return CharSumValue((0,), "a!=0")
+    return case_rule(ctx, None, a).value(ctx, b)
 
 
 def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> CharSumValue:
     """Case table for the family sum; family 2 requires odd m."""
     _require_nonzero_pair(a, b)
-    return _family_case(ctx, family, a, b, trace_table(ctx), coefficient_sets(ctx).reciprocal_sums)
+    return case_rule(ctx, family, a).value(ctx, b)
 
 
-def _family_case(
-    ctx: GF2m,
-    family: int,
-    a: FieldElement,
-    b: FieldElement,
-    tr: tuple[int, ...],
-    split: frozenset[int],
-) -> CharSumValue:
-    """`family_char_sum_closed` at (a, b) != (0, 0), given the field's trace table and reciprocal sums."""
-    q = ctx.size
-    if family == 1:
-        if a == 0:
-            if tr[b]:
-                return CharSumValue((-q,), "a=0, trace(b)=1")
-            return CharSumValue((q,), "a=0, trace(b)=0")
-        if a not in split:
-            return CharSumValue((0,), "a outside reciprocal-sum set")
-        if b == 0:
-            return CharSumValue((2 * q,), "a in reciprocal-sum set, b=0")
-        if tr[ctx.mul(a, b)]:
-            return CharSumValue((0,), "a in reciprocal-sum set, trace(a*b)=1")
-        return CharSumValue((-2 * q, 2 * q), "a in reciprocal-sum set, trace(a*b)=0")
-    if family == 2:
-        if ctx.m % 2 == 0:
-            raise ValueError("family-2 closed form is stated for odd m only")
-        if a == 0:
-            if tr[b]:
-                return CharSumValue((q,), "a=0, trace(b)=1")
-            return CharSumValue((-q,), "a=0, trace(b)=0")
-        if a not in split:
-            return CharSumValue((0,), "a outside reciprocal-sum set")
-        if tr[ctx.mul(a, b ^ 1)]:
-            return CharSumValue((0,), "a in reciprocal-sum set, trace(a*(b+1))=1")
-        return CharSumValue((-2 * q, 2 * q), "a in reciprocal-sum set, trace(a*(b+1))=0")
-    if family == 3:
-        if a == 1:
-            return CharSumValue((0,), "a=1")
-        if a == 0:
-            if tr[b]:
-                return CharSumValue((-q,), "a=0, trace(b)=1")
-            return CharSumValue((q,), "a=0, trace(b)=0")
-        if tr[ctx.mul(a ^ 1, b)]:
-            return CharSumValue((-q,), "a unit !=1, trace((a+1)*b)=1")
-        return CharSumValue((q,), "a unit !=1, trace((a+1)*b)=0")
-    raise ValueError(f"family must be 1, 2 or 3, got {family}")
+def _observed_row(ctx: GF2m, members: list[tuple[FieldElement, int]]) -> list[int]:
+    """q * sum over (x, t) in members of (-1)^(t + trace(b*x)), for every b."""
+    q, tr = ctx.size, trace_table(ctx)
+    row = [0] * q
+    for x, t in members:
+        sign = -q if t else q
+        row = list(map(add, row, [-sign if tr[bx] else sign for bx in mul_row(ctx, x)]))
+    return row
+
+
+class SumRow(NamedTuple):
+    """One sum at one a, over b: observed[b] is checked against values[picks[b]]."""
+
+    sum_name: str
+    observed: list[int]
+    values: tuple[CharSumValue, ...]
+    picks: list[int]
+
+
+def conformance_rows(ctx: GF2m) -> Iterator[tuple[FieldElement, list[SumRow]]]:
+    """Each a in order, with the row of the plain sum and of each in-scope family sum.
+
+    The family-2 closed form is only defined for odd m and is skipped for
+    even m.  Every unit x is in R_0 for the plain sum.  Each row has q
+    entries, so no vector over the pairs (a, b) is built.
+    """
+    families = (1, 2, 3) if ctx.m % 2 == 1 else (1, 3)
+    sums = [("plain", None, {0: [(x, 0) for x in ctx.units()]})] + [
+        (f"family{f}", f, slope_classes(ctx, f)) for f in families
+    ]
+    for a in ctx.elements():
+        rows = []
+        for name, family, classes in sums:
+            rule = case_rule(ctx, family, a)
+            observed = _observed_row(ctx, classes.get(a, []))
+            rows.append(SumRow(name, observed, rule.values, rule.picks(ctx)))
+        yield a, rows
 
 
 @dataclass(frozen=True)
@@ -156,23 +209,13 @@ class SweepRecord:
 def conformance_sweep(ctx: GF2m) -> Iterator[SweepRecord]:
     """Audit every (a, b) != (0, 0) for the plain sum and each in-scope family sum.
 
-    The family-2 closed form is only defined for odd m and is skipped for
-    even m; the other three sums cover every m.  Records come in (a, b)
-    order, the plain sum first, then the families in order.
+    Records come in (a, b) order, the plain sum first, then the families in
+    order; each is one entry of `conformance_rows`.
     """
-    families = (1, 2, 3) if ctx.m % 2 == 1 else (1, 3)
-    tr, split = trace_table(ctx), coefficient_sets(ctx).reciprocal_sums  # read once, not per (a, b)
-    sums = [("plain", char_sum_table(ctx), partial(plain_char_sum_closed, ctx))] + [
-        (f"family{f}", char_sum_table(ctx, f), partial(_family_case, ctx, f, tr=tr, split=split))
-        for f in families
-    ]
-    for a in ctx.elements():
-        for b in ctx.elements():
-            if a == 0 and b == 0:
-                continue
-            for name, table, closed_form in sums:
-                observed = table[a | b << ctx.m]
-                closed = closed_form(a=a, b=b)
+    for a, rows in conformance_rows(ctx):
+        for b in range(0 if a else 1, ctx.size):
+            for name, observed, values, picks in rows:
+                oracle, closed = observed[b], values[picks[b]]
                 yield SweepRecord(
-                    name, a, b, observed, closed.case, closed.candidates, closed.matches(observed)
+                    name, a, b, oracle, closed.case, closed.candidates, oracle in closed.candidates
                 )

@@ -6,6 +6,9 @@ XOR verdicts), sweep (verify across families and field degrees).
 
 Exit codes: 0 all checked claims hold, 1 a claim failed, 2 bad usage,
 3 instance too large for exact computation.
+
+Each subcommand imports the modules it runs when it runs, so a process
+loads only those.
 """
 
 from __future__ import annotations
@@ -14,14 +17,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .analysis import VerificationReport, verify
-from .charsums import conformance_sweep
-from .codes import WeightDistribution, enumerate_defining_set, generator_matrix, matrix_text
-from .field import GF2m
-from .sumsets import COUNTED_VARIANTS, VARIANTS, build_omega, counted_sum_sets, sum_set_witness
 from .walsh import TooLargeError
+
+if TYPE_CHECKING:
+    from .analysis import VerificationReport
+    from .charsums import CharSumValue
+    from .codes import WeightDistribution
+
+# `sumsets.VARIANTS`, spelled here so that building the parser loads no `sumsets`
+SUMSET_VARIANTS = ("paper-column", "code-column")
 
 
 def canonical_json(obj: object) -> str:
@@ -75,6 +81,9 @@ def _verify_lines(report: VerificationReport) -> list[str]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    from .codes import enumerate_defining_set, generator_matrix, matrix_text
+    from .field import GF2m
+
     ctx = GF2m(args.m)
     dset = enumerate_defining_set(ctx, args.family)
     code = generator_matrix(ctx, dset)
@@ -97,6 +106,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .analysis import verify
+
     report = verify(args.family, args.m)
     if args.format == "json":
         _emit(args, canonical_json(report.to_json_dict()))
@@ -105,47 +116,70 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _json_record_parts(name: str, value: CharSumValue) -> tuple[str, str]:
+    return (
+        f'"candidates": {json_line(list(value.candidates))}, "case": {json_line(value.case)}',
+        f'"sum": {json_line(name)}',
+    )
+
+
+def _json_record(parts: tuple[str, str], a: int, b: int, oracle: int, match: bool) -> str:
+    """`json_line` of the record's dict, keys in sorted order, with the per-value parts spliced in."""
+    return (
+        f'{{"a": {a}, "b": {b}, {parts[0]}, "match": {"true" if match else "false"},'
+        f' "oracle": {oracle}, {parts[1]}}}'
+    )
+
+
+def _text_record_parts(name: str, value: CharSumValue) -> tuple[str, str]:
+    return name, f"[{value.case}] candidates={list(value.candidates)}"
+
+
+def _text_record(parts: tuple[str, str], a: int, b: int, oracle: int, match: bool) -> str:
+    return f"{parts[0]} a={a} b={b}: oracle={oracle} {parts[1]} {'ok' if match else 'MISMATCH'}"
+
+
 def _cmd_charsums(args: argparse.Namespace) -> int:
+    """One line per (a, b) != (0, 0) and sum, written from each a's rows.
+
+    The text of each distinct (sum, closed form) is rendered once; each
+    record adds a, b, the observed value and whether it is a candidate.
+    """
+    from .charsums import conformance_rows
+    from .field import GF2m
+
     ctx = GF2m(args.m)
-    records = list(conformance_sweep(ctx))
-    mismatch_count = sum(1 for r in records if not r.match)
+    if args.format == "json":
+        record_parts, record = _json_record_parts, _json_record
+    else:
+        record_parts, record = _text_record_parts, _text_record
+    parts: dict[tuple[str, CharSumValue], tuple[str, str]] = {}
+    lines: list[str] = []
+    mismatch_count = 0
+    for a, rows in conformance_rows(ctx):
+        rendered = []
+        for name, observed, values, picks in rows:
+            for value in values:
+                if (name, value) not in parts:
+                    parts[name, value] = record_parts(name, value)
+            rendered.append((observed, picks, values, [parts[name, v] for v in values]))
+        for b in range(0 if a else 1, ctx.size):
+            for observed, picks, values, row_parts in rendered:
+                oracle, pick = observed[b], picks[b]
+                match = oracle in values[pick].candidates
+                mismatch_count += not match
+                lines.append(record(row_parts[pick], a, b, oracle, match))
+    total = len(lines)
     skipped = [] if args.m % 2 else ["family2"]
     if args.format == "json":
-        lines = [
-            json_line(
-                {
-                    "sum": r.sum_name,
-                    "a": r.a,
-                    "b": r.b,
-                    "oracle": r.oracle,
-                    "case": r.case,
-                    "candidates": list(r.candidates),
-                    "match": r.match,
-                }
-            )
-            for r in records
-        ]
         lines.append(
-            json_line(
-                {
-                    "m": args.m,
-                    "total": len(records),
-                    "mismatches": mismatch_count,
-                    "skipped": skipped,
-                }
-            )
+            json_line({"m": args.m, "total": total, "mismatches": mismatch_count, "skipped": skipped})
         )
-        _emit(args, "\n".join(lines))
     else:
-        lines = [
-            f"{r.sum_name} a={r.a} b={r.b}: oracle={r.oracle} [{r.case}]"
-            f" candidates={list(r.candidates)} {'ok' if r.match else 'MISMATCH'}"
-            for r in records
-        ]
         for name in skipped:
             lines.append(f"{name}: skipped, closed form stated for odd m only")
-        lines.append(f"total {len(records)} cases, {mismatch_count} mismatches")
-        _emit(args, "\n".join(lines))
+        lines.append(f"total {total} cases, {mismatch_count} mismatches")
+    _emit(args, "\n".join(lines))
     return 0 if mismatch_count == 0 else 1
 
 
@@ -173,11 +207,14 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     set's vectors are built only for the text witness of a set that is not
     a sum set.
     """
+    from .field import GF2m
+    from .sumsets import COUNTED_VARIANTS, build_omega, counted_sum_sets, sum_set_witness
+
     if args.family == 2 and args.m % 2 == 0:
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
         return 2
     ctx = GF2m(args.m)
-    variants = list(VARIANTS) if args.variant == "both" else [args.variant]
+    variants = list(SUMSET_VARIANTS) if args.variant == "both" else [args.variant]
     chosen = {"with": (True,), "without": (False,), "both": (False, True)}.get(args.zero)
     groups = []  # (counted set, zero flags)
     for variant in variants:
@@ -221,6 +258,8 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .analysis import verify
+
     claimed: list[VerificationReport] = []
     informational: list[VerificationReport] = []
     for family in (1, 2, 3):
@@ -300,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, choices=tuple(range(2, 9)), required=True)
     p.add_argument("--s", type=_odd_exponent, default=3)
-    p.add_argument("--variant", choices=VARIANTS + ("both",), default="both")
+    p.add_argument("--variant", choices=SUMSET_VARIANTS + ("both",), default="both")
     p.add_argument(
         "--zero",
         choices=("as-built", "with", "without", "both"),

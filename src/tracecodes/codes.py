@@ -81,15 +81,8 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
     """
     q, half, quarter = ctx.size, ctx.size >> 1, ctx.size >> 2
     tr, coords = trace_table(ctx), trace_coordinates(ctx)
-    inverses = unit_inverses(ctx)
-    special: dict[FieldElement, list[tuple[FieldElement, int]]] = {}  # a -> R_a with trace(c)
-    flat: list[tuple[FieldElement, int]] = []  # the x with u = 0, with trace(c)
-    for x in ctx.units():
-        u, c = membership_form(ctx, family, x)
-        if u:
-            special.setdefault(ctx.mul(u, inverses[x]), []).append((x, tr[c]))
-        else:
-            flat.append((x, tr[c]))
+    special = slope_classes(ctx, family)
+    flat = special.pop(0, [])  # the x with u = 0
     sloped = q - 1 - len(flat)
     full = sum(1 for _, t in flat if not t)  # the x whose Y_x is every y
     n = sloped * half + full * q
@@ -118,6 +111,20 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
         for v in span:
             wd[offset + half * (v ^ target).bit_count()] += copies
     return n, {w: count for w, count in sorted(wd.items()) if count}
+
+
+def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[FieldElement, int]]]:
+    """The units x grouped by a = u*x^-1, with (u, c) = `membership_form` at x.
+
+    Maps each a that some x reaches to R_a = {x : u*x^-1 = a}, as pairs
+    (x, trace(c)) in ascending x; R_0 holds exactly the x with u = 0.
+    """
+    tr, inverses = trace_table(ctx), unit_inverses(ctx)
+    classes: dict[FieldElement, list[tuple[FieldElement, int]]] = {}
+    for x in ctx.units():
+        u, c = membership_form(ctx, family, x)
+        classes.setdefault(ctx.mul(u, inverses[x]), []).append((x, tr[c]))
+    return classes
 
 
 @lru_cache(maxsize=1)

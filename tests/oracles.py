@@ -8,10 +8,11 @@ None of them is used by the package itself.
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
-from functools import cache
-from operator import itemgetter
+from functools import cache, partial
+from operator import add, itemgetter
 from typing import Iterator, Sequence
 
 from tracecodes.codes import (
@@ -25,9 +26,10 @@ from tracecodes.codes import (
     generator_matrix,
     membership_form,
 )
-from tracecodes.field import FieldElement, GF2m, is_irreducible, mul_row, trace_table
+from tracecodes.charsums import family_char_sum_closed, plain_char_sum_closed
+from tracecodes.field import FieldElement, GF2m, is_irreducible, mul_row, trace_table, unit_inverses
 from tracecodes.sumsets import OmegaSet, SumSetReport
-from tracecodes.walsh import TooLargeError
+from tracecodes.walsh import TooLargeError, zero_vector
 
 BRUTE_MINIMAL_MAX_DIM = 14
 
@@ -177,6 +179,77 @@ def char_sum(ctx: GF2m, a: FieldElement, b: FieldElement, family: int | None = N
         shift = c ^ row_b[x]
         total += q - 2 * sum([tr[z ^ shift] for z in mul_row(ctx, u ^ row_a[x])])
     return total
+
+
+def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
+    """S(a, b) at index a | b << m for every (a, b); family None is the plain sum.
+
+    The table oracle, refused beyond the transform guard like any vector
+    over F_2^(2m).  For fixed x the sum over y is q at the one a with
+    a*x = u and 0 at every other a, so each x adds
+    q * (-1)^(trace(c) + trace(b*x)) over b at a = u*x^-1 only.
+    """
+    q, tr = ctx.size, trace_table(ctx)
+    inverses = unit_inverses(ctx)
+    table = zero_vector(2 * ctx.m)
+    for x in ctx.units():
+        u, c = (0, 0) if family is None else membership_form(ctx, family, x)
+        a = ctx.mul(u, inverses[x])
+        sign = -q if tr[c] else q
+        row = [-sign if tr[bx] else sign for bx in mul_row(ctx, x)]  # over b
+        table[a::q] = map(add, table[a::q], row)
+    return table
+
+
+def charsums_output(ctx: GF2m, fmt: str) -> str:
+    """`charsums` stdout at ctx, rendered one record at a time from the table oracle.
+
+    Each (a, b) != (0, 0), in order, has one record per in-scope sum: the
+    plain sum, then the families (family 2 at odd m only), its oracle value
+    read from `char_sum_table` and its case from `plain_char_sum_closed` or
+    `family_char_sum_closed`.
+    """
+    m = ctx.m
+    families = (1, 2, 3) if m % 2 else (1, 3)
+    sums = [("plain", char_sum_table(ctx), partial(plain_char_sum_closed, ctx))] + [
+        (f"family{f}", char_sum_table(ctx, f), partial(family_char_sum_closed, ctx, f))
+        for f in families
+    ]
+    lines = []
+    mismatches = 0
+    for a in ctx.elements():
+        for b in ctx.elements():
+            if a == 0 and b == 0:
+                continue
+            for name, table, closed_form in sums:
+                oracle, closed = table[a | b << m], closed_form(a, b)
+                match = oracle in closed.candidates
+                mismatches += not match
+                record = {
+                    "sum": name,
+                    "a": a,
+                    "b": b,
+                    "oracle": oracle,
+                    "case": closed.case,
+                    "candidates": list(closed.candidates),
+                    "match": match,
+                }
+                if fmt == "json":
+                    lines.append(json.dumps(record, sort_keys=True))
+                else:
+                    lines.append(
+                        f"{name} a={a} b={b}: oracle={oracle} [{closed.case}]"
+                        f" candidates={record['candidates']} {'ok' if match else 'MISMATCH'}"
+                    )
+    total = len(lines)
+    skipped = [] if m % 2 else ["family2"]
+    if fmt == "json":
+        summary = {"m": m, "total": total, "mismatches": mismatches, "skipped": skipped}
+        lines.append(json.dumps(summary, sort_keys=True))
+    else:
+        lines.extend(f"{name}: skipped, closed form stated for odd m only" for name in skipped)
+        lines.append(f"total {total} cases, {mismatches} mismatches")
+    return "\n".join(lines) + "\n"
 
 
 def pless_dual_counts_by_fractions(

@@ -19,7 +19,7 @@ PUBLIC = """
 
 # brute-force oracles that live in tests/oracles.py, and deleted dead code
 NOT_IN_PACKAGE = """
-    BRUTE_MINIMAL_MAX_DIM brute_minimal codeword distribution_json_dict dual_code
+    BRUTE_MINIMAL_MAX_DIM brute_minimal char_sum_table codeword distribution_json_dict dual_code
     family_char_sum matrix_rank membership_element plain_char_sum reciprocal_quadratic_roots
     representation_counts_by_convolution representation_counts_naive row_reduce
     symmetric_three_weight trace_pair_count xor_convolve

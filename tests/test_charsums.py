@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
-from oracles import char_sum, reciprocal_quadratic_roots
+from oracles import char_sum, char_sum_table, reciprocal_quadratic_roots
 from tracecodes import TooLargeError
 from tracecodes.charsums import (
     CharSumValue,
-    char_sum_table,
+    case_rule,
     coefficient_sets,
     conformance_sweep,
     family_char_sum_closed,
@@ -172,6 +174,39 @@ def test_char_sum_tables_match_brute_force_sums():
                     for family in (1, 2, 3):
                         want = char_sum(ctx, a, b, family=family)
                         assert tables[family][index] == want, (m, poly, family, a, b)
+
+
+def test_case_rule_matches_brute_force_sums():
+    # the per-a rule, its O(q) row of picks and both per-(a, b) wrappers, at
+    # every (a, b) != (0, 0), against the direct double sum
+    for m, polys in POLYS.items():
+        for poly in polys:
+            ctx = GF2m(m, poly)
+            for family in (None, 1, 3) + ((2,) if m % 2 else ()):
+                for a in ctx.elements():
+                    rule = case_rule(ctx, family, a)
+                    picks = rule.picks(ctx)
+                    for b in range(0 if a else 1, ctx.size):
+                        closed = rule.value(ctx, b)
+                        assert rule.values[picks[b]] == closed, (m, poly, family, a, b)
+                        if family is None:
+                            assert plain_char_sum_closed(ctx, a, b) == closed
+                        else:
+                            assert family_char_sum_closed(ctx, family, a, b) == closed
+                        want = char_sum(ctx, a, b, family=family)
+                        assert closed.matches(want), (m, poly, family, a, b, want, closed)
+
+
+def test_conformance_sweep_runs_past_the_transform_guard():
+    # at m = 11 a table over (a, b) would have 2^22 entries; the rows at a = 0
+    # and a = 1 are read from R_0 and R_1 alone, four sums at odd m
+    ctx = GF2m(11)
+    records = list(islice(conformance_sweep(ctx), 4 * (2 * ctx.size - 1)))
+    assert [(r.a, r.b) for r in records[::4]] == [(0, b) for b in ctx.units()] + [
+        (1, b) for b in ctx.elements()
+    ]
+    assert [r.sum_name for r in records[:4]] == ["plain", "family1", "family2", "family3"]
+    assert all(r.match for r in records)
 
 
 def test_char_sum_table_keeps_the_transform_guard():

@@ -4,11 +4,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from tracecodes.cli import enumerator_string, main
+from oracles import charsums_output, largest_irreducible
+from tracecodes import charsums, field, sumsets
+from tracecodes.cli import SUMSET_VARIANTS, enumerator_string, main
 
 F1_M2_MATRIX = ["00110000", "01100101", "00001111", "11111100"]
 
@@ -109,6 +115,58 @@ def test_charsums_text_counts_match(capsys):
     assert rc == 0
     assert "total 252 cases, 0 mismatches" in out
     assert "MISMATCH" not in out
+
+
+def test_charsums_output_matches_the_per_record_rendering(capsys, monkeypatch):
+    for m in range(2, 7):
+        for poly in (field.DEFAULT_POLYS[m], largest_irreducible(m)):
+            monkeypatch.setitem(field.DEFAULT_POLYS, m, poly)
+            ctx = field.GF2m(m, poly)
+            for fmt in ("json", "text"):
+                rc, out, err = run(capsys, "charsums", "--m", str(m), "--format", fmt)
+                assert (rc, err) == (0, ""), (m, poly, fmt)
+                assert out == charsums_output(ctx, fmt), (m, poly, fmt)
+    # a wrong closed form at a = 1 (no rule there has a b = 0 case at m = 3)
+    # shows as 4 sums x 8 b mismatches in both renderings
+    rule, wrong = charsums.case_rule, charsums.CharSumValue((1,), "wrong")
+
+    def wrong_at_one(ctx, family, a):
+        return rule(ctx, family, a)._replace(by_bit=(wrong, wrong)) if a == 1 else rule(ctx, family, a)
+
+    monkeypatch.setattr(charsums, "case_rule", wrong_at_one)
+    for fmt in ("json", "text"):
+        rc, out, _ = run(capsys, "charsums", "--m", "3", "--format", fmt)
+        assert rc == 1
+        assert out == charsums_output(field.GF2m(3, largest_irreducible(3)), fmt), fmt
+        assert out.count("MISMATCH" if fmt == "text" else '"match": false') == 4 * 8
+
+
+def test_cli_loads_only_the_modules_a_subcommand_runs():
+    # a fresh interpreter: importing the CLI, then running `verify`, loads
+    # neither the sum-set nor the character-sum module
+    script = (
+        "import json, sys, tracecodes.cli\n"
+        "loaded = lambda: print(json.dumps([m for m in sys.modules if m.startswith('tracecodes')]))\n"
+        "loaded()\n"
+        "tracecodes.cli.main(['verify', '--family', '1', '--m', '3', '--format', 'json'])\n"
+        "loaded()\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    out = proc.stdout.splitlines()
+    at_import, after_verify = json.loads(out[0]), json.loads(out[-1])
+    assert "tracecodes.cli" in at_import and "tracecodes.analysis" in after_verify
+    for module in (at_import, after_verify):
+        assert not {"tracecodes.sumsets", "tracecodes.charsums"} & set(module), module
+    assert SUMSET_VARIANTS == sumsets.VARIANTS
 
 
 def test_sumset_exit_codes(capsys):
