@@ -193,8 +193,7 @@ def conformance_rows(ctx: GF2m) -> Iterator[tuple[FieldElement, list[SumRow]]]:
         yield a, rows
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """One (sum, a, b) conformance check: oracle value vs closed-form case."""
 
     sum_name: str

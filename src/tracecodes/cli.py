@@ -203,12 +203,12 @@ def _require_printable_counts(size: int, s: int) -> None:
 def _cmd_sumset(args: argparse.Namespace) -> int:
     """Decide each requested point set by counting, with no vectors and no transform.
 
-    Every set's printed counts are guarded before any set is decided.  A
-    set's vectors are built only for the text witness of a set that is not
-    a sum set.
+    Every set's printed counts are guarded before any set is decided.  Text
+    names why a set is not a sum set: the values of t, the transform of its
+    nonzero members over u != 0, on which T^s = (t + [0 in set])^s is not affine.
     """
     from .field import GF2m
-    from .sumsets import COUNTED_VARIANTS, build_omega, counted_sum_sets, sum_set_witness
+    from .sumsets import COUNTED_VARIANTS, counted_sum_sets
 
     if args.family == 2 and args.m % 2 == 0:
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
@@ -223,16 +223,12 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     for counted, flags in groups:
         for flag in flags:
             _require_printable_counts(counted.members + flag, args.s)
-    reports, witnesses = [], []
-    for counted, flags in groups:
-        omega = None
-        for report in counted_sum_sets(counted, args.s, flags):
-            witness = None
-            if args.format == "text" and not report.is_sum_set:
-                omega = omega or build_omega(ctx, args.family, counted.variant)
-                witness = sum_set_witness(omega.with_zero(report.include_zero), args.s)
-            reports.append(report)
-            witnesses.append(witness)
+    decided = [
+        (report, counted)
+        for counted, flags in groups
+        for report in counted_sum_sets(counted, args.s, flags)
+    ]
+    reports = [report for report, _ in decided]
     if args.format == "json":
         payload = {
             "family": args.family,
@@ -244,7 +240,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
         _emit(args, canonical_json(payload))
     else:
         lines = []
-        for r, witness in zip(reports, witnesses):
+        for r, counted in decided:
             tag = f"{r.variant}, zero {'included' if r.include_zero else 'excluded'}, size {r.set_size}"
             if r.is_sum_set:
                 lines.append(
@@ -252,7 +248,8 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
                     f" {r.sigma_outside} outside, {r.count_at_zero} at zero)"
                 )
             else:
-                lines.append(f"{tag}: NOT a sum set (counts differ at {witness})")
+                values = sorted(counted.histogram)
+                lines.append(f"{tag}: NOT a sum set (T^s is not affine in t over t in {values})")
         _emit(args, "\n".join(lines))
     return 0 if any(r.is_sum_set for r in reports) else 1
 

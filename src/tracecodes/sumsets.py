@@ -12,13 +12,14 @@ members, over u != 0: with T = t + [0 in set], the set is an s-sum set iff
 T(u)^s = beta * t(u) + gamma at every u != 0, so it is read off the
 distinct values of t, and the count at zero off their histogram.  The
 zero flag adds 1 to every entry, so a set with and without zero share one
-histogram.  `check_sum_set` takes any `OmegaSet` and runs one forward
-transform, no inverse.  A family's two sets need no vectors and no
-transform: `code_column_counts` reads the histogram of the code-column
-set, the distinct nonzero generator columns of a code with n columns,
-off the code's weight distribution, t(u) = n - 2 wt(u) (Calderbank-Kantor);
-`paper_column_counts` counts that of the paper-column set per x; and
-`counted_sum_sets` decides either.
+histogram.  `counted_sum_sets` makes every verdict from such a histogram.
+`check_sum_set` counts it for any `OmegaSet` with one forward transform,
+no inverse.  A family's two sets need no vectors and no transform:
+`code_column_counts` reads the histogram of the code-column set, the
+distinct nonzero generator columns of a code with n columns, off the
+code's weight distribution, t(u) = n - 2 wt(u) (Calderbank-Kantor), and
+`paper_column_counts` counts that of the paper-column set per x.
+`representation_counts` gives the full vector of counts by transform.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
 
 VARIANTS = ("paper-column", "code-column")
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
-
-# the last point set's spectrum, keyed by (ambient_dim, vectors); one entry at most
-_spectrum_memo: dict[tuple[int, frozenset[int]], list[int]] = {}
 
 
 @dataclass(frozen=True)
@@ -126,21 +124,14 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
 
 
 def _nonzero_spectrum(omega: OmegaSet) -> list[int]:
-    """Transform of the nonzero members' indicator, memoised for the last set.
+    """Transform of the nonzero members' indicator.
 
     With zero included the set's transform is this plus 1 at every u.
     """
-    key = (omega.ambient_dim, omega.vectors)
-    spectrum = _spectrum_memo.get(key)
-    if spectrum is None:
-        _spectrum_memo.clear()
-        indicator = zero_vector(omega.ambient_dim)
-        for v in omega.vectors:
-            indicator[v] = 1
-        spectrum = walsh_hadamard(indicator)
-        shared = {t: t for t in spectrum}  # one int object per value: the memo is about its list
-        spectrum = _spectrum_memo[key] = [shared[t] for t in spectrum]
-    return spectrum
+    indicator = zero_vector(omega.ambient_dim)
+    for v in omega.vectors:
+        indicator[v] = 1
+    return walsh_hadamard(indicator)
 
 
 def _check_power_cost(s: int, size: int, dim: int, values: int, basis: str) -> None:
@@ -220,63 +211,12 @@ def _check_odd_power(s: int) -> None:
         raise ValueError("s must be odd and greater than 1")
 
 
-def _report(
-    family: int,
-    m: int,
-    variant: str,
-    dim: int,
-    members: int,
-    include_zero: bool,
-    histogram: dict[int, int],
-    s: int,
-) -> SumSetReport:
-    """The verdict on a set of `members` nonzero vectors in F_2^dim, plus zero if
-    include_zero, from the histogram of t over u != 0; see `check_sum_set`."""
-    zero = int(include_zero)
-    nonzero = (1 << dim) - 1
-    powers = {t: (t + zero) ** s for t in histogram}
-    total = (members + zero) ** s  # T(0)^s
-    at_zero = total + sum(n * powers[t] for t, n in histogram.items())
-    if at_zero & nonzero:
-        raise AssertionError("count-at-zero numerator did not divide evenly")
-    line = _power_line(powers)
-    sigma_in = sigma_out = None
-    if line is not None:
-        beta, gamma = line
-        numerator = total - beta * members - gamma
-        if numerator & nonzero:
-            raise AssertionError("alpha numerator did not divide evenly")
-        sigma_out = numerator >> dim
-        sigma_in = sigma_out + beta
-    return SumSetReport(
-        family=family,
-        m=m,
-        s=s,
-        variant=variant,
-        include_zero=include_zero,
-        set_size=members + zero,
-        is_sum_set=line is not None,
-        sigma_members=sigma_in,
-        sigma_outside=sigma_out,
-        count_at_zero=at_zero >> dim,
-    )
-
-
 def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     """Decide whether the set is an s-sum set over the nonzero vectors.
 
-    s must be odd and greater than 1.  When one class is empty its sigma is
-    reported equal to the other's.
-
-    With t the transform of the nonzero members and T = t + [0 in set], the
-    counts are alpha + beta * [h a nonzero member] + gamma * [h = 0] exactly
-    when T(u)^s = beta * t(u) + gamma at every u != 0; then
-    alpha = (|set|^s - beta * |nonzero members| - gamma) / 2^K is the count
-    outside and alpha + beta the count on members.  When t is constant off
-    u = 0 the nonzero members are none or all of them and beta = 0.  The
-    count at zero is 2^-K * sum of T(u)^s over the histogram of t.  It runs
-    one forward transform and no inverse; `sum_set_witness` names a pair
-    of vectors that shows a set is not a sum set.  The power guard counts
+    s must be odd and greater than 1.  It runs one forward transform, of the
+    nonzero members, and no inverse, and decides the histogram of that
+    transform over u != 0 with `counted_sum_sets`.  The power guard counts
     the values of t before the transform: they lie in
     [-|nonzero members|, |nonzero members|] and share one parity, so there
     are at most min(2^K, |nonzero members| + 1) of them.
@@ -286,21 +226,14 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     values = min(1 << omega.ambient_dim, members + 1)
     _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
     histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
-    return _report(
-        omega.family,
-        omega.m,
-        omega.variant,
-        omega.ambient_dim,
-        members,
-        omega.include_zero,
-        histogram,
-        s,
-    )
+    dim, zero = omega.ambient_dim, omega.include_zero
+    counted = CountedSet(omega.family, omega.m, omega.variant, dim, members, zero, histogram)
+    return counted_sum_sets(counted, s, (zero,))[0]
 
 
 class CountedSet(NamedTuple):
-    """A family point set known by counting: its K, its nonzero members, whether
-    zero is a member as built, and the histogram of t over u != 0."""
+    """A point set known by counting: its K, its nonzero members, whether zero
+    is a member as built, and the histogram of t over u != 0."""
 
     family: int
     m: int
@@ -390,49 +323,57 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
 def counted_sum_sets(
     counted: CountedSet, s: int, zero_flags: Sequence[bool] = (False, True)
 ) -> list[SumSetReport]:
-    """`check_sum_set` of a counted set, once per zero flag; the power guard
-    counts the distinct values of t."""
+    """The s-sum-set verdict on a counted set, once per zero flag.
+
+    s must be odd and greater than 1.  When one class is empty its sigma is
+    reported equal to the other's.  The power guard counts the distinct
+    values of t.
+
+    With t the transform of the nonzero members and T = t + [0 in set], the
+    counts are alpha + beta * [h a nonzero member] + gamma * [h = 0] exactly
+    when T(u)^s = beta * t(u) + gamma at every u != 0; then
+    alpha = (|set|^s - beta * |nonzero members| - gamma) / 2^K is the count
+    outside and alpha + beta the count on members.  When t is constant off
+    u = 0 the nonzero members are none or all of them and beta = 0.  The
+    count at zero is 2^-K * sum of T(u)^s over the histogram of t.
+    """
     _check_odd_power(s)
     family, m, variant, dim, members, _, histogram = counted
     values = len(histogram)
+    nonzero = (1 << dim) - 1
     reports = []
     for include_zero in zero_flags:
         _check_power_cost(s, members + include_zero, dim, values, f"{values} values of t")
-        reports.append(_report(family, m, variant, dim, members, include_zero, histogram, s))
+        zero = int(include_zero)
+        powers = {t: (t + zero) ** s for t in histogram}
+        total = (members + zero) ** s  # T(0)^s
+        at_zero = total + sum(n * powers[t] for t, n in histogram.items())
+        if at_zero & nonzero:
+            raise AssertionError("count-at-zero numerator did not divide evenly")
+        line = _power_line(powers)
+        sigma_in = sigma_out = None
+        if line is not None:
+            beta, gamma = line
+            numerator = total - beta * members - gamma
+            if numerator & nonzero:
+                raise AssertionError("alpha numerator did not divide evenly")
+            sigma_out = numerator >> dim
+            sigma_in = sigma_out + beta
+        reports.append(
+            SumSetReport(
+                family=family,
+                m=m,
+                s=s,
+                variant=variant,
+                include_zero=include_zero,
+                set_size=members + zero,
+                is_sum_set=line is not None,
+                sigma_members=sigma_in,
+                sigma_outside=sigma_out,
+                count_at_zero=at_zero >> dim,
+            )
+        )
     return reports
 
 
-def code_column_sum_sets(
-    ctx: GF2m, family: int, s: int, zero_flags: Sequence[bool] = (False, True)
-) -> list[SumSetReport]:
-    """`check_sum_set` of the family's code-column set, once per zero flag,
-    from the code's weights; see `code_column_counts`."""
-    return counted_sum_sets(code_column_counts(ctx, family), s, zero_flags)
-
-
-def paper_column_sum_sets(
-    ctx: GF2m, family: int, s: int, zero_flags: Sequence[bool] = (False, True)
-) -> list[SumSetReport]:
-    """`check_sum_set` of the family's paper-column set, once per zero flag,
-    counted per x; see `paper_column_counts`."""
-    return counted_sum_sets(paper_column_counts(ctx, family), s, zero_flags)
-
-
 COUNTED_VARIANTS = {"paper-column": paper_column_counts, "code-column": code_column_counts}
-
-
-def sum_set_witness(omega: OmegaSet, s: int) -> tuple[int, int] | None:
-    """Two vectors of one class whose s-fold counts differ, or None.
-
-    The pair is the class's least vector and the first vector whose count
-    differs from it, the nonzero members tried first, then the nonzero
-    non-members; read off `representation_counts`.
-    """
-    counts = representation_counts(omega, s)
-    outside = (h for h in range(1, len(counts)) if h not in omega.vectors)
-    for vectors in (iter(sorted(omega.vectors)), outside):
-        first = next(vectors, None)
-        for v in vectors:
-            if counts[v] != counts[first]:
-                return first, v
-    return None

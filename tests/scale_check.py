@@ -10,14 +10,14 @@ counts agree with the transform of the defining set's column counts, and
 that every sweep record matches its closed form.  For the family-1
 code-column set at m = 9 and 10, and the paper-column set at m = 9, at
 s = 3 with zero excluded and included, it asserts that `check_sum_set`
-runs one forward transform per point set and no inverse, that the
-code-column set without zero is a sum set, at m = 9 that every verdict
-equals the one read off `representation_counts`, and at m = 9 and 10 that
-`code_column_sum_sets` gives the code-column reports without a transform,
-and at m = 9 that `paper_column_sum_sets` gives the paper-column reports
-without one.  From m = 11 on, `code_column_sum_sets` alone decides the
-code-column sets at s = 3, with no transform: the set without zero is a
-sum set and the set with zero is not.  `paper_column_counts` alone, with
+runs one forward transform per call and no inverse, that the code-column
+set without zero is a sum set, at m = 9 that every verdict equals the one
+read off `representation_counts`, and that `counted_sum_sets` gives the
+same reports without a transform, from `code_column_counts` at m = 9 and
+10 and from `paper_column_counts` at m = 9.  From m = 11 on,
+`counted_sum_sets` of `code_column_counts` alone decides the code-column
+sets at s = 3, with no transform: the set without zero is a sum set and
+the set with zero is not.  `paper_column_counts` alone, with
 no transform, gives each paper-column set at least 4 distinct values of t
 over u != 0, so that set is no s-sum set for any odd s >= 3 (the third
 divided difference of x^s over 4 distinct reals is positive); its reports
@@ -42,10 +42,9 @@ from tracecodes.field import GF2m
 from tracecodes.sumsets import (
     build_omega,
     check_sum_set,
-    code_column_sum_sets,
+    code_column_counts,
     counted_sum_sets,
     paper_column_counts,
-    paper_column_sum_sets,
     representation_counts,
 )
 
@@ -90,8 +89,7 @@ def check_sum_sets(m: int, variant: str) -> None:
             omega = base.with_zero(include_zero)
             report = check_sum_set(omega, 3)
             reports.append(report)
-            forward = [] if include_zero else [1 << omega.ambient_dim]  # shared with zero
-            assert transforms[before:] == forward, (m, variant, transforms)  # no inverse
+            assert transforms[before:] == [1 << omega.ambient_dim], (m, variant, transforms)
             if variant == "code-column" and not include_zero:
                 assert report.is_sum_set, m
             label = f"{variant}, zero {'included' if include_zero else 'excluded'}"
@@ -103,18 +101,17 @@ def check_sum_sets(m: int, variant: str) -> None:
                 assert report == expected, (m, variant, include_zero)
                 print(f"m={m}: {label}, report == representation_counts' in"
                       f" {time.perf_counter() - start:.2f}s", flush=True)
-        sumsets._spectrum_memo.clear()  # the memo pins the last set and its 2^K spectrum
         if variant == "code-column":
             start = time.perf_counter()
             before = len(transforms)
-            assert code_column_sum_sets(ctx, 1, 3) == reports, m
+            assert counted_sum_sets(code_column_counts(ctx, 1), 3) == reports, m
             assert transforms[before:] == [], (m, transforms)
             print(f"m={m}: code-column reports from the weights == the transform's in"
                   f" {time.perf_counter() - start:.2f}s", flush=True)
         else:
             start = time.perf_counter()
             before = len(transforms)
-            assert paper_column_sum_sets(ctx, 1, 3) == reports, m
+            assert counted_sum_sets(paper_column_counts(ctx, 1), 3) == reports, m
             assert transforms[before:] == [], (m, transforms)
             print(f"m={m}: paper-column reports counted per x == the transform's in"
                   f" {time.perf_counter() - start:.2f}s", flush=True)
@@ -123,7 +120,7 @@ def check_sum_sets(m: int, variant: str) -> None:
 def check_weights_route(family: int, m: int) -> None:
     with counted_transforms() as transforms:
         start = time.perf_counter()
-        without, with_zero = code_column_sum_sets(GF2m(m), family, 3)
+        without, with_zero = counted_sum_sets(code_column_counts(GF2m(m), family), 3)
         assert transforms == [], (family, m, transforms)
     assert without.is_sum_set and not with_zero.is_sum_set, (family, m)
     print(f"m={m}: family-{family} code-column sets of {without.set_size} points from the"

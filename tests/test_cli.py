@@ -197,18 +197,19 @@ def test_sumset_json(capsys):
 
 # sha256 over (exit code, stdout, stderr) of `sumset --family f --m m --s s --variant v
 # --zero z --format fmt` for s in (3, 5), v in (paper-column, code-column, both) and
-# z in (as-built, with, without, both), nested in that order, recorded from the route
-# that decided each set from its full vector of counts
+# z in (as-built, with, without, both), nested in that order; the JSON entries were
+# recorded from the route that decided each set from its full vector of counts, and
+# the text entries differ from that route's only in each "NOT a sum set" reason
 SUMSET_SHA256 = {
-    (1, 3, "text"): "6200b436acce69899edb21a62c35c05f16278b006f67e775e904e31f08993ece",
+    (1, 3, "text"): "fd512e338db8ceae4420f9e88e2344712fc02c7037a88ef09e79ffba5407568a",
     (1, 3, "json"): "d973c8e92d18e76aa0ed8c920b30cfb2ec1aba1e3fac103cf72925d6a7e9ece3",
-    (1, 4, "text"): "94d57982f3d188ed6859494c021bee1de71242a1d66e8425fab10b3d5a3e550c",
+    (1, 4, "text"): "5a07e55f2b27d27844b799d4996b5c1f2117937e1c38f381be44f151fd80329e",
     (1, 4, "json"): "ab8a1159dd88f50d81de3401b290650d4f915bbea3756734ae5d9e74741345bf",
-    (1, 5, "text"): "216c28e543cfc2d6a3ffcb4d06e9d9f650d707d49909cf41a092827859d3b40c",
+    (1, 5, "text"): "625f1af665bb1d8073db2b33b749e940d263a0abd098c45adf8077bd297f406b",
     (1, 5, "json"): "8b280f830f4ab1ab594d1ae7afe7fd41e38d4b99d54283128257dd0d82c1119c",
-    (2, 3, "text"): "6e3f3be61b58534c4ddd19bd33268ea246f6d80a7ddcabb9e92a0b55e24ecc2e",
+    (2, 3, "text"): "3789b83abf868ee18ca0d2ffb6288ed185ea7febe57618d3cd8c92eb7f1c42ab",
     (2, 3, "json"): "e228bdf48e6dcd7ab55932aa8243c7c0f2fc5f01a96e69d5aa19b2c3da39dbf6",
-    (2, 5, "text"): "2a5e88ba556155c04efd5a9ae732f6a99e564ba551c94f62310bc7af90803d82",
+    (2, 5, "text"): "982ffe639b8281d8c2e534a1fab4c454fec2486810d84685db49588bd1ee4639",
     (2, 5, "json"): "6d1d994ed4820d2016239ca449f21fc6639329c6dd992437562372009b1e8704",
 }
 
@@ -228,22 +229,36 @@ def test_sumset_output_pinned_at_small_m(capsys):
         assert h.hexdigest() == digest, (family, m, fmt)
 
 
-def test_sumset_too_large_exits_3(capsys):
-    rc, _, err = run(capsys, "sumset", "--family", "2", "--m", "7", "--variant", "paper-column")
-    assert rc == 3
-    assert "error:" in err
+def sumset_verdicts(fmt: str, out: str) -> list[bool]:
+    """Each reported set's is_sum_set, read off JSON or off the text lines."""
+    if fmt == "json":
+        return [r["is_sum_set"] for r in json.loads(out)["reports"]]
+    verdicts = [line.split(": ", 1)[1] for line in out.splitlines()]
+    assert all(v.startswith(("sum set (", "NOT a sum set (")) for v in verdicts), out
+    return [v.startswith("sum set") for v in verdicts]
 
 
 def test_sumset_json_decides_the_paper_column_set_past_the_transform_guard(capsys):
-    # K = 21: text builds the set for its witness and exits 3 (above); JSON builds nothing
-    argv = ("sumset", "--family", "2", "--m", "7", "--variant", "paper-column", "--format", "json")
-    rc, out, err = run(capsys, *argv)
-    assert (rc, err) == (1, "")
-    reports = json.loads(out)["reports"]
-    assert [(r["include_zero"], r["is_sum_set"]) for r in reports] == [
-        (False, False),
-        (True, False),
-    ]
+    # K = 21, past the transform guard: both formats decide the set by counting
+    for fmt in ("text", "json"):
+        argv = ("sumset", "--family", "2", "--m", "7", "--variant", "paper-column", "--format", fmt)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (1, ""), fmt
+        assert sumset_verdicts(fmt, out) == [False, False], fmt
+    assert json.loads(out)["reports"][1]["include_zero"] is True
+
+
+def test_sumset_text_and_json_agree(capsys):
+    grid = [(1, m) for m in range(2, 9)] + [(2, m) for m in (3, 5, 7)]
+    for family, m in grid:
+        for s in ("3", "5"):
+            answers = {}
+            for fmt in ("text", "json"):
+                argv = ("sumset", "--family", str(family), "--m", str(m), "--s", s, "--format", fmt)
+                rc, out, err = run(capsys, *argv)
+                assert err == "", argv
+                answers[fmt] = rc, sumset_verdicts(fmt, out)
+            assert answers["text"] == answers["json"], (family, m, s)
 
 
 def test_sumset_huge_s_exits_3_at_once(capsys):
@@ -266,16 +281,13 @@ def test_sumset_huge_s_exits_3_at_once(capsys):
 def test_sumset_large_s_is_priced_by_the_values_powered(capsys):
     # 4 x 2^16 powered entries would be 295895040 bits, over the 2^28 guard; the
     # paper-column sets power their 4 values of t, the code-column sets their 3
-    argv = ("sumset", "--family", "1", "--m", "8", "--s", "301", "--format", "json")
-    rc, out, err = run(capsys, *argv)
-    assert (rc, err) == (0, "")
+    for fmt in ("text", "json"):
+        argv = ("sumset", "--family", "1", "--m", "8", "--s", "301", "--format", fmt)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, err) == (0, ""), fmt
+        assert sumset_verdicts(fmt, out) == [False, False, True, False], fmt
     reports = json.loads(out)["reports"]
-    assert [(r["variant"], r["is_sum_set"]) for r in reports] == [
-        ("paper-column", False),
-        ("paper-column", False),
-        ("code-column", True),
-        ("code-column", False),
-    ]
+    assert [r["variant"] for r in reports] == ["paper-column"] * 2 + ["code-column"] * 2
 
 
 def test_sumset_family2_even_m_is_usage_error(capsys):

@@ -30,11 +30,10 @@ from tracecodes.sumsets import (
     OmegaSet,
     build_omega,
     check_sum_set,
-    code_column_sum_sets,
+    code_column_counts,
+    counted_sum_sets,
     paper_column_counts,
-    paper_column_sum_sets,
     representation_counts,
-    sum_set_witness,
 )
 from tracecodes.walsh import walsh_hadamard
 
@@ -52,14 +51,13 @@ def hand_set(dim: int, vectors, include_zero: bool = False) -> OmegaSet:
 
 @pytest.fixture
 def transform_calls(monkeypatch) -> list[int]:
-    """Lengths of the transforms `sumsets` runs, starting from an empty spectrum memo."""
+    """Lengths of the transforms `sumsets` runs."""
     calls: list[int] = []
 
     def counted(values):
         calls.append(len(values))
         return walsh_hadamard(values)
 
-    monkeypatch.setattr(sumsets, "_spectrum_memo", {})
     monkeypatch.setattr(sumsets, "walsh_hadamard", counted)
     return calls
 
@@ -93,7 +91,7 @@ def test_hand_case_all_nonzero_vectors_of_dim2():
     assert report.sigma_members == 7
     assert report.sigma_outside == 7  # empty outside class inherits
     assert report.count_at_zero == 6
-    assert sum_set_witness(omega, 3) is None
+    assert sum_set_witness_from_counts(omega, counts) is None
 
 
 def test_counts_s1_is_indicator():
@@ -166,9 +164,10 @@ def test_power_guard_counts_the_values_each_route_powers(monkeypatch, transform_
     assert transform_calls == [16]  # the refused check ran none
     # family 1 at m = 3: 32 columns (33 points with zero, 6 bits), t takes 3 values
     monkeypatch.setattr(sumsets, "POWER_MAX_BITS", 3 * 7 * 6)
-    assert len(code_column_sum_sets(GF2m(3), 1, 7)) == 2
+    counted = code_column_counts(GF2m(3), 1)
+    assert len(counted_sum_sets(counted, 7)) == 2
     with pytest.raises(TooLargeError, match=r"estimated at 162 bits \(3 values of t \*"):
-        code_column_sum_sets(GF2m(3), 1, 9)
+        counted_sum_sets(counted, 9)
     assert transform_calls == [16]
 
 
@@ -276,21 +275,22 @@ def test_code_column_sets_from_weights_match_the_transform_route(transform_calls
                 base = build_omega(ctx, family, "code-column")
                 for s in (3, 5, 7, 9, 11):
                     before = len(transform_calls)
-                    from_weights = code_column_sum_sets(ctx, family, s)
+                    counted = code_column_counts(ctx, family)
+                    from_weights = counted_sum_sets(counted, s)
                     assert len(transform_calls) == before  # no transform
                     from_vectors = [check_sum_set(base.with_zero(z), s) for z in (False, True)]
                     assert from_weights == from_vectors, (family, m, poly, s)
-                    assert code_column_sum_sets(ctx, family, s, (True,)) == from_vectors[1:]
+                    assert counted_sum_sets(counted, s, (True,)) == from_vectors[1:]
 
 
 def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch, request):
     with pytest.raises(ValueError, match="odd m"):
-        code_column_sum_sets(GF2m(4), 2, 3)
+        code_column_counts(GF2m(4), 2)
     with pytest.raises(ValueError, match="odd"):
-        code_column_sum_sets(GF2m(3), 1, 4)
+        counted_sum_sets(code_column_counts(GF2m(3), 1), 4)
     monkeypatch.setattr(sumsets, "distinct_nonzero_columns", lambda ctx: False)
     with pytest.raises(AssertionError, match="zero or repeated column"):
-        code_column_sum_sets(GF2m(3), 1, 3)
+        code_column_counts(GF2m(3), 1)
     monkeypatch.undo()
     # only x = 1 keeps its y's: a code of rank m + 1 < 2m, so t(u) = n - 2 wt(u) misses
     # the u != 0 of weight 0
@@ -298,7 +298,7 @@ def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch, re
     codes.enumerate_defining_set.cache_clear()
     request.addfinalizer(codes.enumerate_defining_set.cache_clear)
     with pytest.raises(AssertionError, match="rank deficient"):
-        code_column_sum_sets(GF2m(3), 1, 3)
+        code_column_counts(GF2m(3), 1)
 
 
 def test_paper_column_sets_from_counts_match_the_transform_route(transform_calls):
@@ -315,18 +315,18 @@ def test_paper_column_sets_from_counts_match_the_transform_route(transform_calls
                 assert len(counted.histogram) >= 4, (family, m, poly)
                 for s in (3, 5, 7, 9, 11):
                     before = len(transform_calls)
-                    from_counts = paper_column_sum_sets(ctx, family, s)
+                    from_counts = counted_sum_sets(paper_column_counts(ctx, family), s)
                     assert len(transform_calls) == before  # no transform
                     from_vectors = [check_sum_set(base.with_zero(z), s) for z in (False, True)]
                     assert from_counts == from_vectors, (family, m, poly, s)
-                    assert paper_column_sum_sets(ctx, family, s, (True,)) == from_vectors[1:]
+                    assert counted_sum_sets(counted, s, (True,)) == from_vectors[1:]
 
 
 def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch, request):
     with pytest.raises(ValueError, match="odd m"):
-        paper_column_sum_sets(GF2m(4), 2, 3)
+        paper_column_counts(GF2m(4), 2)
     with pytest.raises(ValueError, match="odd"):
-        paper_column_sum_sets(GF2m(3), 1, 4)
+        counted_sum_sets(paper_column_counts(GF2m(3), 1), 4)
     request.addfinalizer(codes.enumerate_defining_set.cache_clear)
     forms = (
         lambda ctx, family, x: (ctx.mul(x, x) ^ x, 0),  # family 3's u
@@ -337,20 +337,20 @@ def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch, r
         monkeypatch.setattr(sumsets, "membership_form", form)
         codes.enumerate_defining_set.cache_clear()
         with pytest.raises(AssertionError, match="not the paper's"):
-            paper_column_sum_sets(GF2m(3), family, 3)
+            paper_column_counts(GF2m(3), family)
     monkeypatch.undo()
     # a trace-coordinate table that sends two elements to one vector
     monkeypatch.setattr(codes, "trace_coordinates", lambda ctx: (0,) + tuple(range(ctx.size - 1)))
     with pytest.raises(AssertionError, match="not a bijection"):
-        paper_column_sum_sets(GF2m(3), 1, 3)
+        paper_column_counts(GF2m(3), 1)
 
 
 def test_code_column_sets_with_zero_are_not_sum_sets():
     for family, m in ((1, 2), (1, 3), (2, 3)):
         omega = build_omega(GF2m(m), family, "code-column").with_zero(True)
         assert not check_sum_set(omega, 3).is_sum_set
-        a, b = sum_set_witness(omega, 3)
         counts = representation_counts(omega, 3)
+        a, b = sum_set_witness_from_counts(omega, counts)
         assert counts[a] != counts[b]
 
 
@@ -416,10 +416,9 @@ def one_magnitude_sets():
 def test_one_magnitude_sets_are_decided_in_closed_form(transform_calls):
     for omega in one_magnitude_sets():
         assert len(spectrum_magnitudes(omega)) <= 1, omega
-        sumsets._spectrum_memo.clear()
         before = len(transform_calls)
         reports = {s: check_sum_set(omega, s) for s in (3, 5, 7)}
-        assert len(transform_calls) == before + 1  # the forward transform, no inverse
+        assert len(transform_calls) == before + 3  # one forward transform each, no inverse
         for s, report in reports.items():
             assert report.is_sum_set, (omega.family, omega.m, s)
             expected = sum_set_report_from_counts(omega, s, representation_counts(omega, s))
@@ -449,16 +448,14 @@ def test_transform_route_matches_the_report_from_counts(transform_calls):
     """The affine rule on the forward spectrum against the counts of every route."""
     for base in affine_rule_point_sets():
         cases = [(base.with_zero(zero), s) for zero in (False, True) for s in (3, 5, 7, 9, 11)]
-        sumsets._spectrum_memo.clear()  # random sets may repeat
         before = len(transform_calls)
         reports = [check_sum_set(omega, s) for omega, s in cases]
-        assert transform_calls[before:] == [1 << base.ambient_dim]  # one forward, no inverse
+        # one forward transform each, no inverse
+        assert transform_calls[before:] == [1 << base.ambient_dim] * len(cases)
         for (omega, s), report in zip(cases, reports):
             counts = representation_counts(omega, s)
             assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
-            witness = sum_set_witness(omega, s)
-            assert witness == sum_set_witness_from_counts(omega, counts)
-            assert (witness is None) == report.is_sum_set
+            assert (sum_set_witness_from_counts(omega, counts) is None) == report.is_sum_set
             if omega.ambient_dim <= 8 and s <= 5:
                 counts = representation_counts_by_convolution(omega, s)
                 assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
@@ -476,39 +473,22 @@ def test_power_line_holds_for_one_odd_power_and_not_the_next():
     assert sumsets._power_line({4: 5}) == (0, 5)  # one value: beta = 0
 
 
-def test_sumset_cli_runs_one_forward_transform_per_point_set(transform_calls, capsys, monkeypatch):
-    assert cli.main(["sumset", "--family", "1", "--m", "4"]) == 0
-    assert "code-column, zero excluded, size 128: sum set" in capsys.readouterr().out
-    # a forward transform per point set; the three inverses name the text's witnesses
-    # for the sets that are not sum sets, the code-column set with zero built for its own
-    assert transform_calls == [256] * 5
-
+def test_sumset_cli_runs_no_transform_and_builds_no_vectors(transform_calls, capsys, monkeypatch):
     def refused(*args):
         raise AssertionError("point-set vectors built")
 
-    # `sumset` imports `build_omega` from `sumsets` when it runs, so it gets the patched one
+    # `sumset` imports from `sumsets` when it runs, so it would get the patched names
     for name in ("build_omega", "enumerate_defining_set", "defining_columns"):
         monkeypatch.setattr(sumsets, name, refused)
-    for family, m in ((1, 8), (2, 5)):
-        del transform_calls[:]
-        argv = ["sumset", "--family", str(family), "--m", str(m), "--format", "json"]
-        assert cli.main(argv) == 0
-        capsys.readouterr()
-        assert transform_calls == []  # both variants are counted, with no transform
-
-
-def test_zero_variants_share_one_unchanged_spectrum(transform_calls):
-    base = build_omega(GF2m(4), 1, "code-column")
-    check_sum_set(base.with_zero(False), 3)
-    ((key, spectrum),) = sumsets._spectrum_memo.items()
-    assert key == (8, base.vectors)
-    snapshot = list(spectrum)
-    with_zero = base.with_zero(True)
-    assert not check_sum_set(with_zero, 3).is_sum_set
-    assert sum(representation_counts(with_zero, 5)) == with_zero.size**5
-    assert sumsets._spectrum_memo == {key: snapshot}
-    assert sumsets._spectrum_memo[key] is spectrum
-    assert transform_calls == [256] * 2  # one forward, one inverse for representation_counts
+    for family, m in ((1, 4), (1, 8), (2, 5)):
+        for fmt in ("text", "json"):
+            argv = ["sumset", "--family", str(family), "--m", str(m), "--format", fmt]
+            assert cli.main(argv) == 0, argv
+            out = capsys.readouterr().out
+            if (family, m, fmt) == (1, 4, "text"):
+                assert "code-column, zero excluded, size 128: sum set" in out
+                assert "NOT a sum set (T^s is not affine in t over t in [-15, -7, 1, 113])" in out
+    assert transform_calls == []  # both variants are counted, with no transform
 
 
 def test_one_magnitude_iff_symmetric_three_weight():
