@@ -261,6 +261,15 @@ def test_sumset_text_and_json_agree(capsys):
             assert answers["text"] == answers["json"], (family, m, s)
 
 
+def test_sumset_too_large_exits_3(capsys):
+    # the K = 21 set is decided by counting at any size; only counts too long to print are refused
+    argv = ("sumset", "--family", "2", "--m", "7", "--variant", "paper-column", "--s", "100001")
+    for fmt in ("text", "json"):
+        rc, out, err = run(capsys, *argv, "--format", fmt)
+        assert (rc, out) == (3, ""), fmt
+        assert err.startswith("error: s = 100001 over 8064 points"), fmt
+
+
 def test_sumset_huge_s_exits_3_at_once(capsys):
     cases = [
         # 2^16 spectrum entries of about 16 million bits each would need about 100 GB
