@@ -218,7 +218,7 @@ class VerificationReport:
 def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     """Build the family's code and check every claimed property exactly.
 
-    The weights come from the per-x hyperplane counts
+    The weights come from the character-sum counts
     (`hyperplane_distribution`, O(q); no generator rows or column vector):
     full rank iff only message 0 has weight 0, dual counts by Pless, and the
     column half of projectivity from the injectivity of `trace_coordinates`.

@@ -4,8 +4,8 @@ Subcommands: construct (defining set and generator matrix), verify (full
 per-code report), charsums (closed-form conformance dump), sumset (s-fold
 XOR verdicts), sweep (verify across families and field degrees).
 
-Exit codes: 0 all checked claims hold, 1 a claim failed, 2 bad usage,
-3 instance too large for exact computation.
+Exit codes: 0 all checked claims hold, 1 a claim failed, 2 bad usage (an
+unwritable `--out` included), 3 instance too large for exact computation.
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads only those.
@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
 from .walsh import TooLargeError
@@ -57,10 +56,15 @@ def enumerator_string(wd: WeightDistribution) -> str:
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        Path(args.out).write_text(text + "\n")
-    else:
+    if not args.out:
         print(text)
+        return
+    try:
+        with open(args.out, "w") as handle:
+            handle.write(text + "\n")
+    except OSError as exc:  # a usage error, reported as argparse reports those
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        raise SystemExit(2) from exc
 
 
 def _verify_lines(report: VerificationReport) -> list[str]:

@@ -6,17 +6,16 @@ For fixed x each family's trace condition is affine in y, trace(u*y + c) = 0;
 `defining_columns` the one place a pair becomes its generator column
 coords(x*y) | coords(x) << m.  Codeword (a, b) evaluates trace(a*x*y + b*x)
 over the pairs and is a packed int (bit i = coordinate of pair i).  A
-family's weights come in O(q) from counting, per x, the ones of each
-codeword over that x's hyperplane of y's (`hyperplane_distribution`); a
-lone code's come from the Walsh spectrum of its column counts, which
-`Spectrum` keeps for the projectivity and minimality verdicts too.
+family's weights come in O(q) from its character sums, each family sum
+counted over b by `sign_sums` (`hyperplane_distribution`); a lone code's
+come from the Walsh spectrum of its column counts, which `Spectrum` keeps
+for the projectivity and minimality verdicts too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from typing import Sequence
@@ -67,50 +66,47 @@ def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldEleme
 def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribution]:
     """Length n and exact weight distribution of the family's code, in O(q).
 
-    For x != 0 with (u, c) = `membership_form`, the y of x form the set
-    Y_x = {y : trace(u*y + c) = 0}, and codeword (a, b) has ones over Y_x:
-    - u = 0: Y_x is every y if trace(c) = 0, else empty; |Y_x|/2 ones for
-      a != 0 and |Y_x| * trace(b*x) for a = 0;
-    - a = 0: (q/2) * trace(b*x);
-    - a*x = u: (q/2) * [trace(c) + trace(b*x) = 1];
-    - otherwise q/4, since a*x and u are then independent over F_2.
-    So for a != 0 the weight depends on b only through the bits trace(b*x)
-    at the x of R_a = {x : u != 0, u*x^-1 = a}, whose values over b are the
-    image of a linear map, each hit q / 2^rank times; for a = 0 only through
-    trace(b*x) at the x with u = 0.  Counts are over all q^2 messages.
+    Codeword (a, b) has weight (2n - P - F)/4, with P the plain and F the
+    family character sum at (a, b).  Summed over y first, with (u, c) =
+    `membership_form` at x, F = q * sum over x in R_a = {x : u = a*x} of
+    (-1)^(trace(c) + trace(b*x)), counted over b by `sign_sums` for each R_a
+    of `slope_classes`, R_0 included (F = 0 where R_a is empty).  P is q(q - 1)
+    at (0, 0), -q at a = 0, b != 0 and 0 at a != 0, so n = q(q - 1 + F(0, 0)/q)/2.
     """
-    q, half, quarter = ctx.size, ctx.size >> 1, ctx.size >> 2
-    tr, coords = trace_table(ctx), trace_coordinates(ctx)
-    special = slope_classes(ctx, family)
-    flat = special.pop(0, [])  # the x with u = 0
-    sloped = q - 1 - len(flat)
-    full = sum(1 for _, t in flat if not t)  # the x whose Y_x is every y
-    n = sloped * half + full * q
-
-    wd: Counter[int] = Counter()
-    # a = 0: the x != 0 would add half * trace(b*x), (q/2)^2 in all for b != 0,
-    # but an x with u = 0 adds |Y_x| * trace(b*x) instead
-    zero_row = [half * half] * q
-    zero_row[0] = 0
-    for x, t in flat:
-        step = (0 if t else q) - half
-        for b, bx in enumerate(mul_row(ctx, x)):
-            if tr[bx]:
-                zero_row[b] += step
-    wd.update(zero_row)
-    # a != 0: every x off R_a adds q/4 (or q/2 when u = 0 and Y_x is every y)
-    base = full * half + sloped * quarter
-    wd[base] += (q - 1 - len(special)) * q
-    for xs in special.values():
-        span = {0}
-        for row in transpose([coords[x] for x, _ in xs], ctx.m):  # the bits at b = x^j
-            if row not in span:
-                span |= {v ^ row for v in span}
-        target = sum(t << i for i, (_, t) in enumerate(xs))
-        offset, copies = base - len(xs) * quarter, q // len(span)
-        for v in span:
-            wd[offset + half * (v ^ target).bit_count()] += copies
+    q = ctx.size
+    classes = slope_classes(ctx, family)
+    f00 = sum(1 - 2 * t for _, t in classes.setdefault(0, []))  # F(0, 0)/q; a = 0 has P = -q
+    n = q * (q - 1 + f00) // 2
+    # q >= 4 and 2n, P and F are multiples of q, so n/2 and every /4 are exact
+    wd: Counter[int] = Counter({n // 2: (q - len(classes)) * q})
+    for a, members in classes.items():
+        plain = 0 if a else -q
+        for total, count in sign_sums(ctx, members).items():
+            wd[(2 * n - plain - q * total) // 4] += count
+    wd[q * q // 4] -= 1  # (0, 0) has P = q(q - 1), not -q: move it from q^2/4 to 0
+    wd[0] += 1
+    if sum(wd.values()) != q * q:
+        raise AssertionError(f"weight counts do not sum to q^2 = {q * q}")
     return n, {w: count for w, count in sorted(wd.items()) if count}
+
+
+def sign_sums(ctx: GF2m, members: Sequence[tuple[FieldElement, int]]) -> dict[int, int]:
+    """How many b give each value of the sum over (x, t) in members of (-1)^(t + trace(b*x)).
+
+    Over b the member bits trace(b*x) form the image of a linear map, the
+    span of their rows at b = x^j, and each point of it is hit q/|span| times.
+    """
+    coords = trace_coordinates(ctx)
+    span = {0}
+    for row in transpose([coords[x] for x, _ in members], ctx.m):
+        if row not in span:
+            span |= {v ^ row for v in span}
+    target = sum(t << i for i, (_, t) in enumerate(members))
+    copies, size, sums = ctx.size // len(span), len(members), {}
+    for v in span:
+        total = size - 2 * (v ^ target).bit_count()
+        sums[total] = sums.get(total, 0) + copies
+    return sums
 
 
 def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[FieldElement, int]]]:
@@ -127,7 +123,6 @@ def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[Field
     return classes
 
 
-@lru_cache(maxsize=1)
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
     """All qualifying pairs in ascending (x, y) order, one multiplication row per x."""
     tr = trace_table(ctx)

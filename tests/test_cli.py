@@ -363,3 +363,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     payload = json.loads(target.read_text())
     assert payload["ok"] is True
+
+
+def test_out_flag_write_failure_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "1", "--m", "3", "--out", str(target)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
+    assert not target.parent.exists()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -30,6 +31,8 @@ from tracecodes.codes import (
     hyperplane_distribution,
     matrix_text,
     minimum_distance,
+    sign_sums,
+    slope_classes,
     weight_distribution,
 )
 from tracecodes.field import GF2m, trace_coordinates
@@ -238,11 +241,10 @@ def test_hyperplane_distribution_matches_spectrum_route():
                 assert len(set(trace_coordinates(ctx))) == ctx.size
 
 
-def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch, request):
+def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch):
     # seeded random forms: many x with u = a0 * x make R_a0 large and linearly
     # dependent, u = 0 comes with both trace(c) values, and some codes are
     # rank deficient; both routes read the one patched form
-    request.addfinalizer(codes_module.enumerate_defining_set.cache_clear)
     rng = random.Random(2024)
     dependent = 0
     for trial in range(120):
@@ -255,12 +257,47 @@ def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch
             u = ctx.mul(a0, x) if draw < 0.4 else 0 if draw < 0.55 else rng.randrange(ctx.size)
             forms[x] = (u, rng.randrange(ctx.size))
         monkeypatch.setattr(codes_module, "membership_form", lambda ctx, family, x: forms[x])
-        codes_module.enumerate_defining_set.cache_clear()  # its memo outlives a patched form
         spectrum = family_spectrum(ctx, 1)
         assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), trial
         special = [x for x, (u, _) in forms.items() if u == ctx.mul(a0, x) and u]
         dependent += matrix_rank(special, m) < len(special)
     assert dependent > 60
+
+
+def test_sign_sums_match_a_direct_count_over_every_b():
+    def direct(ctx, members):
+        return Counter(
+            sum((-1) ** (t + ctx.trace(ctx.mul(b, x))) for x, t in members) for b in ctx.elements()
+        )
+
+    for m in range(2, 7):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            units = list(ctx.units())
+            lists = [
+                [],
+                [(1, 0)],
+                [(ctx.size - 1, 1)],
+                [(1, 0), (2, 1), (3, 1)],  # coords(3) = coords(1) ^ coords(2)
+                [(5 % ctx.size, 0), (5 % ctx.size, 1)],
+                [(x, t) for x in units for t in (0, 1)],
+                [(x, x & 1) for x in units],
+            ]
+            for family in (1, 2, 3):
+                lists.extend(slope_classes(ctx, family).values())
+            for members in lists:
+                assert sign_sums(ctx, members) == direct(ctx, members), (m, poly, members)
+
+
+def test_hyperplane_distribution_checks_its_total(monkeypatch):
+    def drop_one_b(ctx, members):
+        sums = sign_sums(ctx, members)
+        sums[next(iter(sums))] -= 1
+        return sums
+
+    monkeypatch.setattr(codes_module, "sign_sums", drop_one_b)
+    with pytest.raises(AssertionError, match=r"do not sum to q\^2 = 64"):
+        hyperplane_distribution(GF2m(3), 1)
 
 
 def bitwise_columns(code):

@@ -283,7 +283,7 @@ def test_code_column_sets_from_weights_match_the_transform_route(transform_calls
                     assert counted_sum_sets(counted, s, (True,)) == from_vectors[1:]
 
 
-def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch, request):
+def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch):
     with pytest.raises(ValueError, match="odd m"):
         code_column_counts(GF2m(4), 2)
     with pytest.raises(ValueError, match="odd"):
@@ -295,8 +295,6 @@ def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch, re
     # only x = 1 keeps its y's: a code of rank m + 1 < 2m, so t(u) = n - 2 wt(u) misses
     # the u != 0 of weight 0
     monkeypatch.setattr(codes, "membership_form", lambda ctx, family, x: (0, int(x != 1)))
-    codes.enumerate_defining_set.cache_clear()
-    request.addfinalizer(codes.enumerate_defining_set.cache_clear)
     with pytest.raises(AssertionError, match="rank deficient"):
         code_column_counts(GF2m(3), 1)
 
@@ -322,12 +320,11 @@ def test_paper_column_sets_from_counts_match_the_transform_route(transform_calls
                     assert counted_sum_sets(counted, s, (True,)) == from_vectors[1:]
 
 
-def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch, request):
+def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch):
     with pytest.raises(ValueError, match="odd m"):
         paper_column_counts(GF2m(4), 2)
     with pytest.raises(ValueError, match="odd"):
         counted_sum_sets(paper_column_counts(GF2m(3), 1), 4)
-    request.addfinalizer(codes.enumerate_defining_set.cache_clear)
     forms = (
         lambda ctx, family, x: (ctx.mul(x, x) ^ x, 0),  # family 3's u
         lambda ctx, family, x: (ctx.mul(x, x) ^ 1, 0),  # family 1's c for family 2
@@ -335,7 +332,6 @@ def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch, r
     for family, form in zip((1, 2), forms):
         monkeypatch.setattr(codes, "membership_form", form)
         monkeypatch.setattr(sumsets, "membership_form", form)
-        codes.enumerate_defining_set.cache_clear()
         with pytest.raises(AssertionError, match="not the paper's"):
             paper_column_counts(GF2m(3), family)
     monkeypatch.undo()
