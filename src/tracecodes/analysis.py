@@ -7,7 +7,6 @@ consistent with any binary linear code is rejected rather than rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
 from typing import NamedTuple
 
@@ -176,8 +175,7 @@ def closed_form_distribution(family: int, m: int) -> WeightDistribution:
     raise ValueError(f"family must be 1, 2 or 3, got {family}")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Every per-code verdict, plus an overall ok flag over the claimed properties."""
 
     family: int
@@ -193,7 +191,7 @@ class VerificationReport:
     ab_minimal: bool
     brute_minimal: bool
     ok: bool
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -12,7 +12,6 @@ and conformance means membership.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add
 from typing import Iterator, NamedTuple
@@ -21,8 +20,7 @@ from .codes import slope_classes
 from .field import FieldElement, GF2m, mul_row, trace_table
 
 
-@dataclass(frozen=True)
-class CharSumValue:
+class CharSumValue(NamedTuple):
     """Closed-form value of a character sum: one candidate, or a sign-ambiguous pair."""
 
     candidates: tuple[int, ...]

@@ -15,10 +15,9 @@ for the projectivity and minimality verdicts too.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import groupby
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table, unit_inverses
 from .walsh import walsh_hadamard, zero_vector
@@ -29,20 +28,28 @@ FAMILIES = (1, 2, 3)
 WeightDistribution = dict[int, int]
 
 
-@dataclass(frozen=True)
 class DefiningSet:
-    """Ordered pairs (x, y), x != 0, satisfying one family's trace condition."""
+    """Ordered pairs (x, y), x != 0, satisfying one family's trace condition.
 
-    family: int
-    m: int
-    pairs: tuple[tuple[FieldElement, FieldElement], ...]
+    len() is the number of pairs; sets are equal when family, m and pairs are
+    (and, like any mutable value, unhashable).
+    """
+
+    __slots__ = ("family", "m", "pairs")
+
+    def __init__(self, family: int, m: int, pairs: tuple[tuple[FieldElement, FieldElement], ...]) -> None:
+        self.family, self.m, self.pairs = family, m, pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DefiningSet):
+            return NotImplemented
+        return (self.family, self.m, self.pairs) == (other.family, other.m, other.pairs)
 
-@dataclass(frozen=True)
-class BinaryLinearCode:
+
+class BinaryLinearCode(NamedTuple):
     """Generator matrix as packed-bit rows (bit i of a row = column i)."""
 
     n: int
@@ -97,8 +104,11 @@ def sign_sums(ctx: GF2m, members: Sequence[tuple[FieldElement, int]]) -> dict[in
     span of their rows at b = x^j, and each point of it is hit q/|span| times.
     """
     coords = trace_coordinates(ctx)
-    span = {0}
-    for row in transpose([coords[x] for x, _ in members], ctx.m):
+    span, full = {0}, 1 << len(members)
+    for j in range(ctx.m):
+        if len(span) == full:  # every sign pattern is reached; the other rows add nothing
+            break
+        row = sum((coords[x] >> j & 1) << i for i, (x, _) in enumerate(members))
         if row not in span:
             span |= {v ^ row for v in span}
     target = sum(t << i for i, (_, t) in enumerate(members))
@@ -186,8 +196,7 @@ def generator_columns(code: BinaryLinearCode) -> list[int]:
     return transpose(code.rows, code.n)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Column counts N over F_2^k and their transform, indexed by message u.
 
     transform[u] = N^(u) = n - 2 wt(u), so weights, projectivity and

@@ -9,8 +9,8 @@ time from `mul_row`; the cached tables have q entries each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, NamedTuple
 
 FieldElement = int
 
@@ -46,7 +46,9 @@ def poly_mod(a: int, b: int) -> int:
 
 
 def is_irreducible(poly: int, m: int) -> bool:
-    """Trial division by every polynomial of degree 1..m//2."""
+    """Trial division by every polynomial of degree 1..m//2; a negative poly is refused."""
+    if poly < 0:  # poly_mod never terminates on one
+        raise ValueError(f"reduction polynomial must be non-negative, got {poly}")
     for d in range(1, m // 2 + 1):
         for q in range(1 << d, 1 << (d + 1)):
             if poly_mod(poly, q) == 0:
@@ -54,26 +56,34 @@ def is_irreducible(poly: int, m: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class GF2m:
+class _Field(NamedTuple):
+    m: int
+    poly: int
+
+
+class GF2m(_Field):
     """Immutable description of GF(2^m); all arithmetic flows through it.
 
     ``poly`` defaults to the lexicographically smallest irreducible
     polynomial of degree m, so results are reproducible across runs.
+    Contexts are compared and hashed by (m, poly), which the cached tables key on.
     """
 
-    m: int
-    poly: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not MIN_DEGREE <= self.m <= MAX_DEGREE:
-            raise ValueError(f"field degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {self.m}")
-        if self.poly == 0:
-            object.__setattr__(self, "poly", DEFAULT_POLYS[self.m])
-        if self.poly.bit_length() != self.m + 1:
-            raise ValueError(f"reduction polynomial must have degree exactly {self.m}")
-        if not is_irreducible(self.poly, self.m):
-            raise ValueError(f"reduction polynomial {bin(self.poly)} is reducible")
+    def __new__(cls, m: int, poly: int = 0) -> GF2m:
+        if not MIN_DEGREE <= m <= MAX_DEGREE:
+            raise ValueError(f"field degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {m}")
+        poly = poly or DEFAULT_POLYS[m]
+        if poly.bit_length() != m + 1:
+            raise ValueError(f"reduction polynomial must have degree exactly {m}")
+        if not is_irreducible(poly, m):
+            raise ValueError(f"reduction polynomial {bin(poly)} is reducible")
+        return super().__new__(cls, m, poly)
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> GF2m:  # so that `_replace` validates too
+        return cls(*iterable)
 
     @property
     def size(self) -> int:

@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .codes import (
     defining_columns,
@@ -45,15 +44,7 @@ VARIANTS = ("paper-column", "code-column")
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
 
 
-@dataclass(frozen=True)
-class OmegaSet:
-    """A set of K-bit vectors, with zero membership tracked as a flag.
-
-    vectors holds the distinct nonzero members; include_zero says whether
-    the zero vector is also a member.  family/m/variant record how the set
-    was built (variant is one of VARIANTS, or 'external').
-    """
-
+class _PointSet(NamedTuple):
     ambient_dim: int
     vectors: frozenset[int]
     include_zero: bool
@@ -61,25 +52,39 @@ class OmegaSet:
     m: int
     variant: str
 
-    def __post_init__(self) -> None:
-        if self.ambient_dim < 1:
+
+class OmegaSet(_PointSet):
+    """A set of K-bit vectors, with zero membership tracked as a flag.
+
+    vectors holds the distinct nonzero members; include_zero says whether
+    the zero vector is also a member.  family/m/variant record how the set
+    was built (variant is one of VARIANTS, or 'external').
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, ambient_dim: int, vectors: frozenset[int], include_zero: bool, family: int, m: int, variant: str
+    ) -> OmegaSet:
+        if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
-        check_dimension(self.ambient_dim)
-        top = 1 << self.ambient_dim
-        for v in self.vectors:
+        check_dimension(ambient_dim)
+        top = 1 << ambient_dim
+        for v in vectors:
             if not 0 < v < top:
-                raise ValueError(f"vector {v} outside nonzero {self.ambient_dim}-bit range")
+                raise ValueError(f"vector {v} outside nonzero {ambient_dim}-bit range")
+        return super().__new__(cls, ambient_dim, vectors, include_zero, family, m, variant)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> OmegaSet:  # so that `_replace` validates too
+        return cls(*iterable)
 
     @property
     def size(self) -> int:
         return len(self.vectors) + (1 if self.include_zero else 0)
 
     def with_zero(self, flag: bool) -> OmegaSet:
-        if flag == self.include_zero:
-            return self
-        return OmegaSet(
-            self.ambient_dim, self.vectors, flag, self.family, self.m, self.variant
-        )
+        return self if flag == self.include_zero else self._replace(include_zero=flag)
 
 
 def _check_family(ctx: GF2m, family: int) -> None:
@@ -161,8 +166,7 @@ def representation_counts(omega: OmegaSet, s: int) -> list[int]:
     return [g >> omega.ambient_dim for g in back]
 
 
-@dataclass(frozen=True)
-class SumSetReport:
+class SumSetReport(NamedTuple):
     """Verdict for one (point set, s) pair."""
 
     family: int

@@ -83,6 +83,9 @@ def test_char_sum_value_api():
     assert both.matches(-8) and both.matches(8)
     with pytest.raises(ValueError):
         _ = both.value
+    parts = {single: "single", both: "both"}  # the CLI renders each distinct value once
+    assert parts[CharSumValue((8,), "case")] == "single" and len(parts) == 2
+    assert CharSumValue((8,), "other") not in parts
 
 
 def test_closed_forms_reject_zero_pair():

@@ -151,22 +151,55 @@ def test_cli_loads_only_the_modules_a_subcommand_runs():
         "tracecodes.cli.main(['verify', '--family', '1', '--m', '3', '--format', 'json'])\n"
         "loaded()\n"
     )
+    out = fresh_python(script).splitlines()
+    at_import, after_verify = json.loads(out[0]), json.loads(out[-1])
+    assert "tracecodes.cli" in at_import and "tracecodes.analysis" in after_verify
+    for module in (at_import, after_verify):
+        assert not {"tracecodes.sumsets", "tracecodes.charsums"} & set(module), module
+    assert SUMSET_VARIANTS == sumsets.VARIANTS
+
+
+def fresh_python(script: str, *args: str) -> str:
+    """Stdout of `script` run in a new interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script, *args],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
         timeout=60,
     )
-    out = proc.stdout.splitlines()
-    at_import, after_verify = json.loads(out[0]), json.loads(out[-1])
-    assert "tracecodes.cli" in at_import and "tracecodes.analysis" in after_verify
-    for module in (at_import, after_verify):
-        assert not {"tracecodes.sumsets", "tracecodes.charsums"} & set(module), module
-    assert SUMSET_VARIANTS == sumsets.VARIANTS
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "construct --family 1 --m 3",
+        "verify --family 1 --m 3",
+        "charsums --m 3",
+        "sumset --family 1 --m 3",
+        "sweep --max-m 3",
+    ],
+)
+def test_subcommands_start_without_dataclasses_or_inspect(argv):
+    # each module that `dataclasses` pulls in (inspect, ast, dis, tokenize, ...)
+    # is compiled or loaded at the start of every CLI process
+    script = (
+        "import json, runpy, sys\n"
+        "before = set(sys.modules)\n"
+        "sys.argv[0] = 'tracecodes'\n"
+        "try:\n"
+        "    runpy.run_module('tracecodes.cli', run_name='__main__')\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+    )
+    added = set(json.loads(fresh_python(script, *argv.split()).splitlines()[-1]))
+    assert "tracecodes.field" in added  # the subcommand ran
+    assert not {"dataclasses", "inspect"} & added, sorted(added)
 
 
 def test_sumset_exit_codes(capsys):

@@ -72,6 +72,14 @@ def test_defining_set_sizes():
             assert size2 == 1 << (2 * m - 1)
 
 
+def test_defining_sets_compare_by_value():
+    ctx = GF2m(4)
+    dset = enumerate_defining_set(ctx, 1)
+    assert len(dset) == len(dset.pairs) == hyperplane_distribution(ctx, 1)[0]
+    assert dset == enumerate_defining_set(ctx, 1)
+    assert dset != enumerate_defining_set(ctx, 3) and dset != enumerate_defining_set(GF2m(3), 1)
+
+
 def test_defining_set_membership_and_order():
     for m in (2, 3, 4, 5):
         for poly in (0, largest_irreducible(m)):

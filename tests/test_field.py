@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import largest_irreducible
 from tracecodes.field import (
     DEFAULT_POLYS,
     GF2m,
@@ -55,6 +56,23 @@ def test_constructor_defaults_and_validation():
         GF2m(2, 0b101)  # x^2+1 = (x+1)^2
     with pytest.raises(ValueError):
         GF2m(3, 0b111)  # degree 2 polynomial for m=3
+    for poly in (-11, -9, -3):  # -11 and -9 have bit_length 4, as a degree-3 poly would
+        with pytest.raises(ValueError):
+            GF2m(3, poly)
+        with pytest.raises(ValueError):
+            is_irreducible(poly, 3)
+
+
+def test_contexts_are_immutable_values():
+    ctx = GF2m(8)
+    assert ctx == GF2m(8, 0b100011011) and hash(ctx) == hash(GF2m(8, 0b100011011))
+    assert ctx != GF2m(8, largest_irreducible(8))
+    assert trace_table(GF2m(8)) is trace_table(GF2m(8))  # the cached tables key on the value
+    assert repr(GF2m(3)) == "GF2m(m=3, poly=11)"
+    with pytest.raises(AttributeError):
+        ctx.m = 3
+    with pytest.raises(ValueError):
+        ctx._replace(poly=0b100011001)  # x^8+x^4+x^3+1 is divisible by x+1
 
 
 def test_elements_and_units():

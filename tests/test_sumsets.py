@@ -78,6 +78,8 @@ def test_omega_set_validation():
         hand_set(2, (4,))
     omega = hand_set(2, (1, 2), include_zero=False)
     assert omega.size == 2
+    with pytest.raises(ValueError):
+        omega._replace(vectors=frozenset({4}))
     assert omega.with_zero(True).size == 3
     assert omega.with_zero(False) is omega
 
