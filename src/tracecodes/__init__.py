@@ -11,8 +11,8 @@ from importlib import import_module
 # public name -> the module that defines it; each module is imported on the
 # first access to one of its names (PEP 562), so `import tracecodes.cli`
 # compiles only what the chosen subcommand runs.  Records are NamedTuples or
-# small `__slots__` classes, so no subcommand imports inspect, ast, dis or
-# tokenize, whose loading takes longer than a small CLI run computes.
+# plain tuples, so no subcommand imports inspect, ast, dis or tokenize, whose
+# loading takes longer than a small CLI run computes.
 _HOMES = {
     "analysis": """
         DualCounts VerificationReport ab_minimal closed_form_distribution griesmer_classify

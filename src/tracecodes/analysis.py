@@ -28,28 +28,26 @@ class DualCounts(NamedTuple):
     weight2: int
 
 
-def pless_dual_counts(wd: WeightDistribution, n: int, k: int, q: int = 2) -> DualCounts:
+def pless_dual_counts(wd: WeightDistribution, n: int, k: int) -> DualCounts:
     """Numbers of dual words of weight 1 and 2, from the first two power moments.
 
-    Solves the two Pless identities exactly,
-    A1 = (q-1) n - S1 / q^(k-1) and
-    2 A2 = S2 / q^(k-2) - (q-1) n ((q-1) n + 1) + (2qn - q - 2n + 2) A1,
-    in integers over the common denominator D = q^max(0, k-1) (S1, S2 the
+    Solves the two binary Pless identities exactly,
+    A1 = n - S1 / 2^(k-1) and
+    2 A2 = S2 / 2^(k-2) - n (n + 1) + 2n A1,
+    in integers over the common denominator D = 2^max(0, k-1) (S1, S2 the
     first two moments of wd); a non-integral or negative solution means the
-    distribution is not that of an [n, k] code over F_q.
+    distribution is not that of a binary [n, k] code.
     """
     total = sum(wd.values())
-    if total != q**k:
-        raise ValueError(f"distribution sums to {total}, expected {q**k}")
+    if total != 1 << k:
+        raise ValueError(f"distribution sums to {total}, expected {1 << k}")
     s1 = sum(w * c for w, c in wd.items())
     s2 = sum(w * w * c for w, c in wd.items())
-    denominator = q ** max(0, k - 1)
-    a1_times_d = (q - 1) * n * denominator - s1 * q ** max(0, 1 - k)
+    denominator = 1 << max(0, k - 1)
+    a1_times_d = n * denominator - (s1 << max(0, 1 - k))
     a1 = _solved_count("weight-1", a1_times_d, denominator)
     a2_times_2d = (
-        s2 * q ** (max(0, k - 1) - k + 2)
-        - (q - 1) * n * (q * n - n + 1) * denominator
-        + (2 * q * n - q - 2 * n + 2) * a1_times_d
+        (s2 << (max(0, k - 1) - k + 2)) - n * (n + 1) * denominator + 2 * n * a1_times_d
     )
     return DualCounts(a1, _solved_count("weight-2", a2_times_2d, 2 * denominator))
 
@@ -77,31 +75,32 @@ def is_projective(code: BinaryLinearCode) -> bool:
     return spectrum.counts[0] == 0 and max(spectrum.counts) <= 1
 
 
-def griesmer_length(k: int, d: int, q: int = 2) -> int:
-    return sum((d + q**i - 1) // q**i for i in range(k))
+def griesmer_length(k: int, d: int) -> int:
+    """Least n the Griesmer bound allows a binary [n, k, d] code: sum over i < k of ceil(d / 2^i)."""
+    return sum((d + (1 << i) - 1) >> i for i in range(k))
 
 
-def griesmer_classify(n: int, k: int, d: int, q: int = 2) -> str:
-    """'optimal', 'almost-optimal', or 'inconclusive' for an [n, k, d]_q code.
+def griesmer_classify(n: int, k: int, d: int) -> str:
+    """'optimal', 'almost-optimal', or 'inconclusive' for a binary [n, k, d] code.
 
-    Optimal here means no [n, k, d+1]_q code passes the Griesmer bound;
-    almost-optimal means no [n, k, d+2]_q code does.
+    Optimal here means no binary [n, k, d+1] code passes the Griesmer bound;
+    almost-optimal means no [n, k, d+2] code does.
     """
     if min(n, k, d) < 1:
         raise ValueError("parameters must be positive")
-    if griesmer_length(k, d + 1, q) > n:
+    if griesmer_length(k, d + 1) > n:
         return "optimal"
-    if griesmer_length(k, d + 2, q) > n:
+    if griesmer_length(k, d + 2) > n:
         return "almost-optimal"
     return "inconclusive"
 
 
-def ab_minimal(wd: WeightDistribution, q: int = 2) -> bool:
-    """Ashikhmin-Barg sufficient condition: wmin/wmax > (q-1)/q, checked in integers."""
+def ab_minimal(wd: WeightDistribution) -> bool:
+    """Ashikhmin-Barg sufficient condition for a binary code: 2 wmin > wmax."""
     nonzero = [w for w in wd if w > 0]
     if not nonzero:
         raise ValueError("zero code has no nonzero weights")
-    return min(nonzero) * q > max(nonzero) * (q - 1)
+    return 2 * min(nonzero) > max(nonzero)
 
 
 def minimality_triples(wd: WeightDistribution) -> list[tuple[int, int, int]]:

@@ -41,17 +41,14 @@ class CharSumValue(NamedTuple):
 
 
 class CoefficientSets(NamedTuple):
-    """Coefficients for which the two auxiliary quadratics have nonzero roots."""
+    """Coefficients a for which z^2 + a*z + 1 has two nonzero roots r and 1/r."""
 
-    reciprocal_sums: frozenset[int]  # a = r + 1/r: z^2 + a*z + 1 has two nonzero roots
-    units_except_one: frozenset[int]  # z^2 + (a+1)*z has a nonzero root iff a != 1
+    reciprocal_sums: frozenset[int]  # a = r + 1/r, r != 0, 1
 
 
 @lru_cache(maxsize=None)
 def coefficient_sets(ctx: GF2m) -> CoefficientSets:
-    recip = frozenset(r ^ ctx.inv(r) for r in ctx.units() if r != 1)
-    units = frozenset(a for a in ctx.units() if a != 1)
-    return CoefficientSets(reciprocal_sums=recip, units_except_one=units)
+    return CoefficientSets(reciprocal_sums=frozenset(r ^ ctx.inv(r) for r in ctx.units() if r != 1))
 
 
 class CaseRule(NamedTuple):

@@ -4,8 +4,8 @@ Subcommands: construct (defining set and generator matrix), verify (full
 per-code report), charsums (closed-form conformance dump), sumset (s-fold
 XOR verdicts), sweep (verify across families and field degrees).
 
-Exit codes: 0 all checked claims hold, 1 a claim failed, 2 bad usage (an
-unwritable `--out` included), 3 instance too large for exact computation.
+Exit codes: 0 all checked claims hold, 1 a claim failed, 2 bad usage or an
+unwritable `--out` or stdout, 3 instance too large for exact computation.
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads only those.
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -57,7 +58,16 @@ def enumerator_string(wd: WeightDistribution) -> str:
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if not args.out:
-        print(text)
+        try:
+            print(text)
+            sys.stdout.flush()  # here, not at shutdown, where a closed pipe would exit 1
+        except BrokenPipeError as exc:
+            # the reader left; what is still buffered goes to devnull at shutdown
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            raise SystemExit(2) from exc
         return
     try:
         with open(args.out, "w") as handle:
@@ -302,10 +312,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _odd_exponent(text: str) -> int:
-    value = int(text)
-    if value <= 1 or value % 2 == 0:
-        raise argparse.ArgumentTypeError("s must be odd and greater than 1")
-    return value
+    try:
+        value = int(text)
+        if value > 1 and value % 2:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError("s must be an odd integer greater than 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,8 @@
 """Defining-set code construction and exact weight enumeration.
 
-Three families of binary codes are built from pairs (x, y) with x nonzero.
-For fixed x each family's trace condition is affine in y, trace(u*y + c) = 0;
+Three families of binary codes are built from pairs (x, y) with x nonzero;
+a family's `DefiningSet` is the ascending tuple of the pairs that meet its
+trace condition.  For fixed x that condition is affine in y, trace(u*y + c) = 0;
 `membership_form` is the one place the three conditions are written, and
 `defining_columns` the one place a pair becomes its generator column
 coords(x*y) | coords(x) << m.  Codeword (a, b) evaluates trace(a*x*y + b*x)
@@ -28,25 +29,9 @@ FAMILIES = (1, 2, 3)
 WeightDistribution = dict[int, int]
 
 
-class DefiningSet:
-    """Ordered pairs (x, y), x != 0, satisfying one family's trace condition.
-
-    len() is the number of pairs; sets are equal when family, m and pairs are
-    (and, like any mutable value, unhashable).
-    """
-
-    __slots__ = ("family", "m", "pairs")
-
-    def __init__(self, family: int, m: int, pairs: tuple[tuple[FieldElement, FieldElement], ...]) -> None:
-        self.family, self.m, self.pairs = family, m, pairs
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DefiningSet):
-            return NotImplemented
-        return (self.family, self.m, self.pairs) == (other.family, other.m, other.pairs)
+# One family's defining set: the pairs (x, y), x != 0, that satisfy its trace
+# condition, in ascending (x, y) order.
+DefiningSet = tuple[tuple[FieldElement, FieldElement], ...]
 
 
 class BinaryLinearCode(NamedTuple):
@@ -55,7 +40,6 @@ class BinaryLinearCode(NamedTuple):
     n: int
     k: int
     rows: tuple[int, ...]
-    provenance: tuple[int, int] | None = None  # (family, m); None = external
 
 
 def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -141,7 +125,7 @@ def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
         u, c = membership_form(ctx, family, x)
         bit = tr[c]
         pairs.extend((x, y) for y, uy in enumerate(mul_row(ctx, u)) if tr[uy] == bit)
-    return DefiningSet(family=family, m=ctx.m, pairs=tuple(pairs))
+    return tuple(pairs)
 
 
 def defining_columns(ctx: GF2m, dset: DefiningSet) -> list[int]:
@@ -152,7 +136,7 @@ def defining_columns(ctx: GF2m, dset: DefiningSet) -> list[int]:
     """
     coords = trace_coordinates(ctx)
     columns = []
-    for x, group in groupby(dset.pairs, key=itemgetter(0)):
+    for x, group in groupby(dset, key=itemgetter(0)):
         row, high = mul_row(ctx, x), coords[x] << ctx.m
         columns.extend(coords[row[y]] | high for _, y in group)
     return columns
@@ -188,7 +172,7 @@ def generator_matrix(ctx: GF2m, dset: DefiningSet) -> BinaryLinearCode:
     of (0, x^j).  The rows are the transpose of `defining_columns`.
     """
     rows = tuple(transpose(defining_columns(ctx, dset), 2 * ctx.m))
-    return BinaryLinearCode(n=len(dset), k=len(rows), rows=rows, provenance=(dset.family, dset.m))
+    return BinaryLinearCode(n=len(dset), k=len(rows), rows=rows)
 
 
 def generator_columns(code: BinaryLinearCode) -> list[int]:

@@ -45,10 +45,12 @@ def poly_mod(a: int, b: int) -> int:
     return a
 
 
-def is_irreducible(poly: int, m: int) -> bool:
-    """Trial division by every polynomial of degree 1..m//2; a negative poly is refused."""
-    if poly < 0:  # poly_mod never terminates on one
-        raise ValueError(f"reduction polynomial must be non-negative, got {poly}")
+def is_irreducible(poly: int) -> bool:
+    """Trial division by every polynomial of degree 1..m//2, m = deg(poly); m must be in 2..16."""
+    m = poly.bit_length() - 1
+    if poly < 0 or not MIN_DEGREE <= m <= MAX_DEGREE:  # poly_mod never terminates on a negative poly
+        shown = "a negative int" if poly < 0 else f"degree {m}"  # a huge poly has too many digits to print
+        raise ValueError(f"expected a polynomial of degree {MIN_DEGREE}..{MAX_DEGREE}, got {shown}")
     for d in range(1, m // 2 + 1):
         for q in range(1 << d, 1 << (d + 1)):
             if poly_mod(poly, q) == 0:
@@ -77,7 +79,7 @@ class GF2m(_Field):
         poly = poly or DEFAULT_POLYS[m]
         if poly.bit_length() != m + 1:
             raise ValueError(f"reduction polynomial must have degree exactly {m}")
-        if not is_irreducible(poly, m):
+        if not is_irreducible(poly):
             raise ValueError(f"reduction polynomial {bin(poly)} is reducible")
         return super().__new__(cls, m, poly)
 

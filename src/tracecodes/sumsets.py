@@ -114,7 +114,7 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
         coords = trace_coordinates(ctx)
         dim = 2 * m if family == 1 else 3 * m
         raw = set()
-        for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
+        for x, group in itertools.groupby(dset, key=itemgetter(0)):
             row = mul_row(ctx, ctx.mul(x, x))
             x_part = 0 if family == 1 else coords[x] << m
             raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)

@@ -35,7 +35,7 @@ BRUTE_MINIMAL_MAX_DIM = 14
 
 
 def largest_irreducible(m: int) -> int:
-    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p, m))
+    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p))
 
 
 def family_code(family: int, m: int, poly: int = 0) -> BinaryLinearCode:
@@ -60,7 +60,7 @@ def codeword(ctx: GF2m, dset: DefiningSet, a: FieldElement, b: FieldElement) -> 
     tr = trace_table(ctx)
     row_a, row_b = mul_row(ctx, a), mul_row(ctx, b)
     bits = []
-    for x, group in itertools.groupby(dset.pairs, key=itemgetter(0)):
+    for x, group in itertools.groupby(dset, key=itemgetter(0)):
         row_ax, bx = mul_row(ctx, row_a[x]), row_b[x]
         bits.extend("01"[tr[row_ax[y] ^ bx]] for _, y in group)
     return int("".join(reversed(bits)) or "0", 2)
@@ -124,7 +124,7 @@ def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
             if (reduced[i] >> free) & 1:
                 v |= 1 << p
         rows.append(v)
-    return BinaryLinearCode(n=code.n, k=len(rows), rows=tuple(rows), provenance=None)
+    return BinaryLinearCode(n=code.n, k=len(rows), rows=tuple(rows))
 
 
 @cache  # several tests ask about the same k = 12 codes

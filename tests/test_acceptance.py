@@ -138,9 +138,9 @@ def test_04_projectivity_both_routes_and_dual_distance():
 
 
 def test_05_griesmer_class_of_the_8_4_3_code():
-    got = griesmer_classify(8, 4, 3, 2)
+    got = griesmer_classify(8, 4, 3)
     ok = got == "almost-optimal"
-    _verdict(5, ok, f"griesmer_classify(8,4,3,2) = {got}")
+    _verdict(5, ok, f"griesmer_classify(8,4,3) = {got}")
     assert ok, got
 
 

@@ -66,36 +66,35 @@ def test_pless_rejects_inconsistent_distribution():
 
 
 def random_distributions(rng: random.Random, count: int):
-    """(wd, n, k, q): the weights of random binary codes, rank-deficient ones
-    included, and random splits of q^k over a few weights, mostly inconsistent."""
+    """(wd, n, k): the weights of random binary codes, rank-deficient ones
+    included, and random splits of 2^k over a few weights, mostly inconsistent."""
     for _ in range(count):
         k, n = rng.randint(0, 6), rng.randint(0, 12)
         if rng.random() < 0.4:
             rows = tuple(rng.getrandbits(n) for _ in range(k))
-            yield weight_distribution(BinaryLinearCode(n=n, k=k, rows=rows)), n, k, 2
+            yield weight_distribution(BinaryLinearCode(n=n, k=k, rows=rows)), n, k
             continue
-        q = rng.choice((2, 3))
         weights = rng.sample(range(n + 1), rng.randint(1, min(4, n + 1)))
-        cuts = sorted(rng.randint(0, q**k) for _ in weights[1:])
-        counts = [b - a for a, b in zip([0] + cuts, cuts + [q**k])]
+        cuts = sorted(rng.randint(0, 1 << k) for _ in weights[1:])
+        counts = [b - a for a, b in zip([0] + cuts, cuts + [1 << k])]
         if rng.random() < 0.1:
             counts[0] += 1  # a wrong total
-        yield dict(zip(weights, counts)), n, k, q
+        yield dict(zip(weights, counts)), n, k
 
 
 def test_pless_dual_counts_match_the_fraction_oracle():
-    def outcome(solve, wd, n, k, q):
+    def outcome(solve, *args):
         try:
-            return tuple(solve(wd, n, k, q))
+            return tuple(solve(*args))
         except ValueError as exc:
             return str(exc)
 
-    cases = [({0: 1, 1: 1}, 1, 1, 2), ({0: 1, 1: 3}, 1, 2, 2), ({2: 4}, 2, 2, 2), ({0: 1}, 3, 0, 2)]
+    cases = [({0: 1, 1: 1}, 1, 1), ({0: 1, 1: 3}, 1, 2), ({2: 4}, 2, 2), ({0: 1}, 3, 0)]
     cases += random_distributions(random.Random(4099), 600)
     seen = set()
-    for wd, n, k, q in cases:
-        got = outcome(pless_dual_counts, wd, n, k, q)
-        assert got == outcome(pless_dual_counts_by_fractions, wd, n, k, q), (wd, n, k, q)
+    for wd, n, k in cases:
+        got = outcome(pless_dual_counts, wd, n, k)
+        assert got == outcome(pless_dual_counts_by_fractions, wd, n, k, 2), (wd, n, k)
         seen.add(got if isinstance(got, str) else "solved")
     # solved, both counts refused, fractional and negative, and wrong totals
     kinds = {"solved", "weight-1", "weight-2", "/", "solves to -", "sums to"}

@@ -42,14 +42,12 @@ def test_reciprocal_quadratic_roots_vieta():
 def test_coefficient_sets_m2():
     sets = coefficient_sets(GF2m(2))
     assert sets.reciprocal_sums == {1}
-    assert sets.units_except_one == {2, 3}
 
 
 def test_coefficient_set_sizes():
     for m in range(2, 7):
         sets = coefficient_sets(GF2m(m))
         assert len(sets.reciprocal_sums) == (1 << (m - 1)) - 1
-        assert len(sets.units_except_one) == (1 << m) - 2
 
 
 def test_reciprocal_sums_characterize_root_existence():

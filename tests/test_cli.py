@@ -339,10 +339,11 @@ def test_sumset_family2_even_m_is_usage_error(capsys):
 
 
 def test_sumset_rejects_even_s(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["sumset", "--family", "1", "--m", "2", "--s", "4"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for s in ("4", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sumset", "--family", "1", "--m", "2", "--s", s])
+        assert exc.value.code == 2
+        assert "s must be an odd integer greater than 1" in capsys.readouterr().err, s
 
 
 def test_unknown_choice_is_usage_error(capsys):
@@ -407,3 +408,26 @@ def test_out_flag_write_failure_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
     assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv", ["charsums --m 6", "verify --family 1 --m 3 --format json"])
+def test_closed_stdout_is_usage_error(argv):
+    # the pipe's read end is closed before the process starts, so every write fails;
+    # exit 1 would read as a failed claim
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "tracecodes.cli", *argv.split()],
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: "), proc.stderr

@@ -22,7 +22,7 @@ from tracecodes.field import (
 def lowest_irreducible(m: int) -> int:
     # independent rederivation: scan monic degree-m polynomials in integer order
     for poly in range(1 << m, 1 << (m + 1)):
-        if is_irreducible(poly, m):
+        if is_irreducible(poly):
             return poly
     raise AssertionError(f"no irreducible polynomial of degree {m}")
 
@@ -60,7 +60,17 @@ def test_constructor_defaults_and_validation():
         with pytest.raises(ValueError):
             GF2m(3, poly)
         with pytest.raises(ValueError):
-            is_irreducible(poly, 3)
+            is_irreducible(poly)
+
+
+def test_is_irreducible_reads_the_degree_and_refuses_unsupported_ones():
+    assert is_irreducible(0b10011)  # x^4+x+1
+    assert not is_irreducible(0b10101)  # (x^2+x+1)^2, which no degree-1 divisor exposes
+    assert is_irreducible(0b111) and not is_irreducible(0b101)
+    # refused before any division: x^127+x+1 is irreducible, but dividing would never finish
+    for poly in (-0b10011, 0, 1, 0b11, (1 << 17) | 0b1001, (1 << 127) | 0b11, 1 << 100000):
+        with pytest.raises(ValueError):
+            is_irreducible(poly)
 
 
 def test_contexts_are_immutable_values():
