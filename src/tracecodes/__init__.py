@@ -19,8 +19,8 @@ _HOMES = {
         is_minimal is_projective pless_dual_counts verify
     """,
     "charsums": """
-        CharSumValue CoefficientSets coefficient_sets conformance_sweep family_char_sum_closed
-        plain_char_sum_closed
+        CharSumValue conformance_sweep family_char_sum_closed plain_char_sum_closed
+        reciprocal_sums
     """,
     "codes": """
         FAMILIES BinaryLinearCode DefiningSet enumerate_defining_set generator_matrix

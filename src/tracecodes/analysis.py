@@ -19,6 +19,7 @@ from .codes import (
     generator_matrix,
     hyperplane_distribution,
     minimum_distance,
+    paper_covers,
 )
 from .field import GF2m
 from .walsh import check_dimension, walsh_hadamard
@@ -154,9 +155,9 @@ def closed_form_distribution(family: int, m: int) -> WeightDistribution:
             h * h: 3 * h * h - 1,
             h * (h + 1): (h // 2) * (h + 1),
         }
+    if not paper_covers(family, m):
+        raise ValueError("family-2 closed form is stated for odd m only")
     if family == 2:
-        if m % 2 == 0:
-            raise ValueError("family-2 closed form is stated for odd m only")
         return {
             0: 1,
             2 * h * (h // 2 - 1): (h // 2) * (h - 1),
@@ -241,7 +242,7 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     d = minimum_distance(wd)
     notes: list[str] = []
 
-    if family == 2 and m % 2 == 0:
+    if not paper_covers(family, m):
         expected = closed_form_distribution(1, m)
         notes.append("even m: no closed form for family 2; compared against the family-1 table")
     else:

@@ -16,8 +16,8 @@ from functools import lru_cache
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .codes import slope_classes
-from .field import FieldElement, GF2m, mul_row, trace_table
+from .codes import FAMILIES, paper_covers, slope_classes
+from .field import FieldElement, GF2m, mul_row, trace_table, unit_inverses
 
 
 class CharSumValue(NamedTuple):
@@ -40,15 +40,11 @@ class CharSumValue(NamedTuple):
         return observed in self.candidates
 
 
-class CoefficientSets(NamedTuple):
-    """Coefficients a for which z^2 + a*z + 1 has two nonzero roots r and 1/r."""
-
-    reciprocal_sums: frozenset[int]  # a = r + 1/r, r != 0, 1
-
-
 @lru_cache(maxsize=None)
-def coefficient_sets(ctx: GF2m) -> CoefficientSets:
-    return CoefficientSets(reciprocal_sums=frozenset(r ^ ctx.inv(r) for r in ctx.units() if r != 1))
+def reciprocal_sums(ctx: GF2m) -> frozenset[FieldElement]:
+    """The a = r + 1/r, r not in {0, 1}: those for which z^2 + a*z + 1 has two roots r and 1/r."""
+    inverses = unit_inverses(ctx)
+    return frozenset(r ^ inverses[r] for r in range(2, ctx.size))
 
 
 class CaseRule(NamedTuple):
@@ -96,9 +92,9 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
     q = ctx.size
     if family is None:
         return _constant(CharSumValue((-q,), "a=0, b!=0") if a == 0 else CharSumValue((0,), "a!=0"))
-    if family not in (1, 2, 3):
+    if family not in FAMILIES:
         raise ValueError(f"family must be 1, 2 or 3, got {family}")
-    if family == 2 and ctx.m % 2 == 0:
+    if not paper_covers(family, ctx.m):
         raise ValueError("family-2 closed form is stated for odd m only")
     if a == 0:
         s = -q if family == 2 else q
@@ -115,7 +111,7 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
                 CharSumValue((-q,), "a unit !=1, trace((a+1)*b)=1"),
             ),
         )
-    if a not in coefficient_sets(ctx).reciprocal_sums:
+    if a not in reciprocal_sums(ctx):
         return _constant(CharSumValue((0,), "a outside reciprocal-sum set"))
     if family == 1:
         return CaseRule(
@@ -175,7 +171,7 @@ def conformance_rows(ctx: GF2m) -> Iterator[tuple[FieldElement, list[SumRow]]]:
     even m.  Every unit x is in R_0 for the plain sum.  Each row has q
     entries, so no vector over the pairs (a, b) is built.
     """
-    families = (1, 2, 3) if ctx.m % 2 == 1 else (1, 3)
+    families = [f for f in FAMILIES if paper_covers(f, ctx.m)]
     sums = [("plain", None, {0: [(x, 0) for x in ctx.units()]})] + [
         (f"family{f}", f, slope_classes(ctx, f)) for f in families
     ]

@@ -95,13 +95,13 @@ def _verify_lines(report: VerificationReport) -> list[str]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    from .codes import enumerate_defining_set, generator_matrix, matrix_text
+    from .codes import enumerate_defining_set, generator_matrix, matrix_text, paper_covers
     from .field import GF2m
 
     ctx = GF2m(args.m)
     dset = enumerate_defining_set(ctx, args.family)
     code = generator_matrix(ctx, dset)
-    if args.family == 2 and args.m % 2 == 0:
+    if not paper_covers(args.family, args.m):
         print("note: even m; closed-form results do not cover this code", file=sys.stderr)
     if args.format == "json":
         payload = {
@@ -160,6 +160,7 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
     record adds a, b, the observed value and whether it is a candidate.
     """
     from .charsums import conformance_rows
+    from .codes import FAMILIES, paper_covers
     from .field import GF2m
 
     ctx = GF2m(args.m)
@@ -184,7 +185,7 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
                 mismatch_count += not match
                 lines.append(record(row_parts[pick], a, b, oracle, match))
     total = len(lines)
-    skipped = [] if args.m % 2 else ["family2"]
+    skipped = [f"family{f}" for f in FAMILIES if not paper_covers(f, args.m)]
     if args.format == "json":
         lines.append(
             json_line({"m": args.m, "total": total, "mismatches": mismatch_count, "skipped": skipped})
@@ -221,41 +222,41 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
     names why a set is not a sum set: the values of t, the transform of its
     nonzero members over u != 0, on which T^s = (t + [0 in set])^s is not affine.
     """
+    from .codes import paper_covers
     from .field import GF2m
     from .sumsets import COUNTED_VARIANTS, counted_sum_sets
 
-    if args.family == 2 and args.m % 2 == 0:
+    if not paper_covers(args.family, args.m):
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
         return 2
     ctx = GF2m(args.m)
     variants = list(SUMSET_VARIANTS) if args.variant == "both" else [args.variant]
     chosen = {"with": (True,), "without": (False,), "both": (False, True)}.get(args.zero)
-    groups = []  # (counted set, zero flags)
+    groups = []  # (variant, counted set, zero flags)
     for variant in variants:
         counted = COUNTED_VARIANTS[variant](ctx, args.family)
-        groups.append((counted, chosen or (counted.zero_as_built,)))
-    for counted, flags in groups:
+        groups.append((variant, counted, chosen or (counted.zero_as_built,)))
+    for _, counted, flags in groups:
         for flag in flags:
             _require_printable_counts(counted.members + flag, args.s)
     decided = [
-        (report, counted)
-        for counted, flags in groups
+        (report, variant, counted)
+        for variant, counted, flags in groups
         for report in counted_sum_sets(counted, args.s, flags)
     ]
-    reports = [report for report, _ in decided]
+    any_sum_set = any(r.is_sum_set for r, _, _ in decided)
     if args.format == "json":
+        provenance = {"family": args.family, "m": args.m, "s": args.s}
         payload = {
-            "family": args.family,
-            "m": args.m,
-            "s": args.s,
-            "reports": [r.to_json_dict() for r in reports],
-            "any_sum_set": any(r.is_sum_set for r in reports),
+            **provenance,
+            "reports": [{**provenance, "variant": v, **r.to_json_dict()} for r, v, _ in decided],
+            "any_sum_set": any_sum_set,
         }
         _emit(args, canonical_json(payload))
     else:
         lines = []
-        for r, counted in decided:
-            tag = f"{r.variant}, zero {'included' if r.include_zero else 'excluded'}, size {r.set_size}"
+        for r, variant, counted in decided:
+            tag = f"{variant}, zero {'included' if r.include_zero else 'excluded'}, size {r.set_size}"
             if r.is_sum_set:
                 lines.append(
                     f"{tag}: sum set (count {r.sigma_members} on members,"
@@ -265,21 +266,19 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
                 values = sorted(counted.histogram)
                 lines.append(f"{tag}: NOT a sum set (T^s is not affine in t over t in {values})")
         _emit(args, "\n".join(lines))
-    return 0 if any(r.is_sum_set for r in reports) else 1
+    return 0 if any_sum_set else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .analysis import verify
+    from .codes import FAMILIES, paper_covers
 
     claimed: list[VerificationReport] = []
     informational: list[VerificationReport] = []
-    for family in (1, 2, 3):
+    for family in FAMILIES:
         for m in range(2, args.max_m + 1):
             report = verify(family, m)
-            if family == 2 and m % 2 == 0:
-                informational.append(report)
-            else:
-                claimed.append(report)
+            (claimed if paper_covers(family, m) else informational).append(report)
     all_ok = all(r.ok for r in claimed)
     if args.format == "json":
         payload = {

@@ -18,12 +18,18 @@ from __future__ import annotations
 from collections import Counter
 from itertools import groupby
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table, unit_inverses
 from .walsh import walsh_hadamard, zero_vector
 
 FAMILIES = (1, 2, 3)
+
+
+def paper_covers(family: int, m: int) -> bool:
+    """Whether the paper states its results for the family at degree m: family 2 only at odd m."""
+    return family != 2 or m % 2 == 1
+
 
 # A weight distribution is the exact multiset map weight -> codeword count.
 WeightDistribution = dict[int, int]
@@ -34,12 +40,30 @@ WeightDistribution = dict[int, int]
 DefiningSet = tuple[tuple[FieldElement, FieldElement], ...]
 
 
-class BinaryLinearCode(NamedTuple):
-    """Generator matrix as packed-bit rows (bit i of a row = column i)."""
-
+class _Code(NamedTuple):
     n: int
-    k: int
     rows: tuple[int, ...]
+
+
+class BinaryLinearCode(_Code):
+    """Generator matrix as packed-bit rows (bit i of a row = column i), k = len(rows)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> BinaryLinearCode:
+        top = 1 << n  # ValueError for a negative n
+        for row in rows:
+            if not 0 <= row < top:
+                raise ValueError(f"row {row} outside the {n}-bit range")
+        return super().__new__(cls, n, rows)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> BinaryLinearCode:  # so that `_replace` validates too
+        return cls(*iterable)
+
+    @property
+    def k(self) -> int:
+        return len(self.rows)
 
 
 def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, FieldElement]:
@@ -172,7 +196,7 @@ def generator_matrix(ctx: GF2m, dset: DefiningSet) -> BinaryLinearCode:
     of (0, x^j).  The rows are the transpose of `defining_columns`.
     """
     rows = tuple(transpose(defining_columns(ctx, dset), 2 * ctx.m))
-    return BinaryLinearCode(n=len(dset), k=len(rows), rows=rows)
+    return BinaryLinearCode(n=len(dset), rows=rows)
 
 
 def generator_columns(code: BinaryLinearCode) -> list[int]:

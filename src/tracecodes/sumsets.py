@@ -36,6 +36,7 @@ from .codes import (
     enumerate_defining_set,
     hyperplane_distribution,
     membership_form,
+    paper_covers,
 )
 from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
@@ -48,24 +49,18 @@ class _PointSet(NamedTuple):
     ambient_dim: int
     vectors: frozenset[int]
     include_zero: bool
-    family: int
-    m: int
-    variant: str
 
 
 class OmegaSet(_PointSet):
     """A set of K-bit vectors, with zero membership tracked as a flag.
 
     vectors holds the distinct nonzero members; include_zero says whether
-    the zero vector is also a member.  family/m/variant record how the set
-    was built (variant is one of VARIANTS, or 'external').
+    the zero vector is also a member.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, ambient_dim: int, vectors: frozenset[int], include_zero: bool, family: int, m: int, variant: str
-    ) -> OmegaSet:
+    def __new__(cls, ambient_dim: int, vectors: frozenset[int], include_zero: bool) -> OmegaSet:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)
@@ -73,7 +68,7 @@ class OmegaSet(_PointSet):
         for v in vectors:
             if not 0 < v < top:
                 raise ValueError(f"vector {v} outside nonzero {ambient_dim}-bit range")
-        return super().__new__(cls, ambient_dim, vectors, include_zero, family, m, variant)
+        return super().__new__(cls, ambient_dim, vectors, include_zero)
 
     @classmethod
     def _make(cls, iterable: Iterable) -> OmegaSet:  # so that `_replace` validates too
@@ -90,7 +85,7 @@ class OmegaSet(_PointSet):
 def _check_family(ctx: GF2m, family: int) -> None:
     if family not in (1, 2):
         raise ValueError("point sets are built for families 1 and 2 only")
-    if family == 2 and ctx.m % 2 == 0:
+    if not paper_covers(family, ctx.m):
         raise ValueError("family-2 point sets are built for odd m only")
 
 
@@ -118,14 +113,7 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
             row = mul_row(ctx, ctx.mul(x, x))
             x_part = 0 if family == 1 else coords[x] << m
             raw.update(coords[row[y]] | x_part | coords[y] << (dim - m) for _, y in group)
-    return OmegaSet(
-        ambient_dim=dim,
-        vectors=frozenset(raw - {0}),
-        include_zero=0 in raw,
-        family=family,
-        m=m,
-        variant=variant,
-    )
+    return OmegaSet(ambient_dim=dim, vectors=frozenset(raw - {0}), include_zero=0 in raw)
 
 
 def _nonzero_spectrum(omega: OmegaSet) -> list[int]:
@@ -169,10 +157,6 @@ def representation_counts(omega: OmegaSet, s: int) -> list[int]:
 class SumSetReport(NamedTuple):
     """Verdict for one (point set, s) pair."""
 
-    family: int
-    m: int
-    s: int
-    variant: str
     include_zero: bool
     set_size: int
     is_sum_set: bool
@@ -182,10 +166,6 @@ class SumSetReport(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return {
-            "family": self.family,
-            "m": self.m,
-            "s": self.s,
-            "variant": self.variant,
             "include_zero": self.include_zero,
             "is_sum_set": self.is_sum_set,
             "sigma0": self.sigma_members,
@@ -230,18 +210,14 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     values = min(1 << omega.ambient_dim, members + 1)
     _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
     histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
-    dim, zero = omega.ambient_dim, omega.include_zero
-    counted = CountedSet(omega.family, omega.m, omega.variant, dim, members, zero, histogram)
-    return counted_sum_sets(counted, s, (zero,))[0]
+    counted = CountedSet(omega.ambient_dim, members, omega.include_zero, histogram)
+    return counted_sum_sets(counted, s, (omega.include_zero,))[0]
 
 
 class CountedSet(NamedTuple):
     """A point set known by counting: its K, its nonzero members, whether zero
     is a member as built, and the histogram of t over u != 0."""
 
-    family: int
-    m: int
-    variant: str
     dim: int
     members: int
     zero_as_built: bool
@@ -265,7 +241,7 @@ def code_column_counts(ctx: GF2m, family: int) -> CountedSet:
     if not distinct_nonzero_columns(ctx):
         raise AssertionError(f"family {family} code at m = {ctx.m} has a zero or repeated column")
     histogram = {n - 2 * w: count for w, count in wd.items() if w}
-    return CountedSet(family, ctx.m, "code-column", 2 * ctx.m, n, False, histogram)
+    return CountedSet(2 * ctx.m, n, False, histogram)
 
 
 def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
@@ -321,7 +297,7 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
     members = half * (q - 2) + (family == 1)
     histogram[members] -= 1
     dim = 2 * ctx.m if family == 1 else 3 * ctx.m
-    return CountedSet(family, ctx.m, "paper-column", dim, members, family == 1, +histogram)
+    return CountedSet(dim, members, family == 1, +histogram)
 
 
 def counted_sum_sets(
@@ -342,7 +318,7 @@ def counted_sum_sets(
     count at zero is 2^-K * sum of T(u)^s over the histogram of t.
     """
     _check_odd_power(s)
-    family, m, variant, dim, members, _, histogram = counted
+    dim, members, _, histogram = counted
     values = len(histogram)
     nonzero = (1 << dim) - 1
     reports = []
@@ -365,10 +341,6 @@ def counted_sum_sets(
             sigma_in = sigma_out + beta
         reports.append(
             SumSetReport(
-                family=family,
-                m=m,
-                s=s,
-                variant=variant,
                 include_zero=include_zero,
                 set_size=members + zero,
                 is_sum_set=line is not None,

@@ -124,7 +124,7 @@ def dual_code(code: BinaryLinearCode) -> BinaryLinearCode:
             if (reduced[i] >> free) & 1:
                 v |= 1 << p
         rows.append(v)
-    return BinaryLinearCode(n=code.n, k=len(rows), rows=tuple(rows))
+    return BinaryLinearCode(n=code.n, rows=tuple(rows))
 
 
 @cache  # several tests ask about the same k = 12 codes
@@ -316,7 +316,7 @@ def count_classes(omega: OmegaSet, length: int) -> tuple[list[int], list[int]]:
     return sorted(omega.vectors), [h for h in range(1, length) if h not in omega.vectors]
 
 
-def sum_set_report_from_counts(omega: OmegaSet, s: int, counts: Sequence[int]) -> SumSetReport:
+def sum_set_report_from_counts(omega: OmegaSet, counts: Sequence[int]) -> SumSetReport:
     """The s-sum-set verdict read off a full vector of s-fold counts.
 
     Each class (nonzero members, nonzero non-members) must carry one count,
@@ -331,10 +331,6 @@ def sum_set_report_from_counts(omega: OmegaSet, s: int, counts: Sequence[int]) -
     if sigma_out is None:
         sigma_out = sigma_in
     return SumSetReport(
-        family=omega.family,
-        m=omega.m,
-        s=s,
-        variant=omega.variant,
         include_zero=omega.include_zero,
         set_size=omega.size,
         is_sum_set=is_sum_set,

@@ -97,7 +97,7 @@ def check_sum_sets(m: int, variant: str) -> None:
                   flush=True)
             if m in SUMSET_ORACLE_DEGREES:
                 start = time.perf_counter()
-                expected = sum_set_report_from_counts(omega, 3, representation_counts(omega, 3))
+                expected = sum_set_report_from_counts(omega, representation_counts(omega, 3))
                 assert report == expected, (m, variant, include_zero)
                 print(f"m={m}: {label}, report == representation_counts' in"
                       f" {time.perf_counter() - start:.2f}s", flush=True)

@@ -72,7 +72,7 @@ def random_distributions(rng: random.Random, count: int):
         k, n = rng.randint(0, 6), rng.randint(0, 12)
         if rng.random() < 0.4:
             rows = tuple(rng.getrandbits(n) for _ in range(k))
-            yield weight_distribution(BinaryLinearCode(n=n, k=k, rows=rows)), n, k
+            yield weight_distribution(BinaryLinearCode(n=n, rows=rows)), n, k
             continue
         weights = rng.sample(range(n + 1), rng.randint(1, min(4, n + 1)))
         cuts = sorted(rng.randint(0, 1 << k) for _ in weights[1:])
@@ -156,17 +156,17 @@ def test_is_projective_families():
 
 
 def test_is_projective_counterexamples():
-    repeated = BinaryLinearCode(n=4, k=2, rows=(0b1011, 0b1100))
+    repeated = BinaryLinearCode(n=4, rows=(0b1011, 0b1100))
     assert generator_columns(repeated)[0] == generator_columns(repeated)[1]
     assert not is_projective(repeated)
-    zero_col = BinaryLinearCode(n=3, k=2, rows=(0b110, 0b100))
+    zero_col = BinaryLinearCode(n=3, rows=(0b110, 0b100))
     assert generator_columns(zero_col)[0] == 0
     assert not is_projective(zero_col)
 
 
 def test_is_projective_requires_full_rank():
     with pytest.raises(ValueError):
-        is_projective(BinaryLinearCode(n=2, k=2, rows=(0b11, 0b11)))
+        is_projective(BinaryLinearCode(n=2, rows=(0b11, 0b11)))
 
 
 def test_griesmer_length_values():
@@ -194,18 +194,18 @@ def test_ab_minimal():
 
 
 def test_brute_minimal():
-    not_minimal = BinaryLinearCode(n=3, k=2, rows=(0b011, 0b111))
+    not_minimal = BinaryLinearCode(n=3, rows=(0b011, 0b111))
     assert not brute_minimal(not_minimal)
     # rank deficient: message 0b11 gives the zero word, and the one nonzero
     # codeword 0b111 is trivially minimal
-    repeated = BinaryLinearCode(n=3, k=2, rows=(0b111, 0b111))
+    repeated = BinaryLinearCode(n=3, rows=(0b111, 0b111))
     assert brute_minimal(repeated)
     assert is_minimal(repeated)
     assert brute_minimal(family_code(1, 3))
     assert brute_minimal(family_code(3, 3))
     assert brute_minimal(family_code(2, 3))  # minimal in fact, though the ratio bound misses it
     with pytest.raises(TooLargeError):
-        brute_minimal(BinaryLinearCode(n=2, k=15, rows=tuple([1] * 15)))
+        brute_minimal(BinaryLinearCode(n=2, rows=tuple([1] * 15)))
 
 
 def test_minimality_triples():
@@ -252,7 +252,7 @@ def test_exact_minimality_matches_oracle_on_random_codes():
         k = rng.randint(0, 7)
         n = rng.randint(1, 14)
         rows = tuple(rng.getrandbits(n) for _ in range(k))
-        code = BinaryLinearCode(n=n, k=k, rows=rows)
+        code = BinaryLinearCode(n=n, rows=rows)
         want = brute_minimal(code)
         assert is_minimal(code) == want, code
         verdicts.add(want)

@@ -11,10 +11,10 @@ from tracecodes import TooLargeError
 from tracecodes.charsums import (
     CharSumValue,
     case_rule,
-    coefficient_sets,
     conformance_sweep,
     family_char_sum_closed,
     plain_char_sum_closed,
+    reciprocal_sums,
 )
 from tracecodes.field import GF2m
 
@@ -39,24 +39,22 @@ def test_reciprocal_quadratic_roots_vieta():
                 assert r2 == ctx.inv(r1)
 
 
-def test_coefficient_sets_m2():
-    sets = coefficient_sets(GF2m(2))
-    assert sets.reciprocal_sums == {1}
+def test_reciprocal_sums_m2():
+    assert reciprocal_sums(GF2m(2)) == {1}
 
 
-def test_coefficient_set_sizes():
+def test_reciprocal_sum_set_sizes():
     for m in range(2, 7):
-        sets = coefficient_sets(GF2m(m))
-        assert len(sets.reciprocal_sums) == (1 << (m - 1)) - 1
+        assert len(reciprocal_sums(GF2m(m))) == (1 << (m - 1)) - 1
 
 
 def test_reciprocal_sums_characterize_root_existence():
     for m in (2, 3, 4, 5):
         ctx = GF2m(m)
-        sets = coefficient_sets(ctx)
+        sums = reciprocal_sums(ctx)
         for a in ctx.units():
             has_roots = bool(reciprocal_quadratic_roots(ctx, a))
-            assert has_roots == (a in sets.reciprocal_sums)
+            assert has_roots == (a in sums)
 
 
 def test_plain_char_sum_values():
@@ -120,14 +118,14 @@ def test_family2_closed_examples():
     gf8 = GF2m(3)
     assert family_char_sum_closed(gf8, 2, 0, 1).value == 8  # trace(1)=1
     assert char_sum(gf8, 0, 1, family=2) == 8
-    sets = coefficient_sets(gf8)
-    outside = next(a for a in gf8.units() if a not in sets.reciprocal_sums)
+    sums = reciprocal_sums(gf8)
+    outside = next(a for a in gf8.units() if a not in sums)
     for b in gf8.elements():
         if (outside, b) == (0, 0):
             continue
         assert family_char_sum_closed(gf8, 2, outside, b).value == 0
         assert char_sum(gf8, outside, b, family=2) == 0
-    inside = min(sets.reciprocal_sums)
+    inside = min(sums)
     ambiguous = [
         b
         for b in gf8.elements()

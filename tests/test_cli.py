@@ -228,6 +228,29 @@ def test_sumset_json(capsys):
     assert report["include_zero"] is False
 
 
+def test_sumset_json_report_shape(capsys):
+    # the library report carries the verdict; `sumset` adds family, m, s and variant
+    rc, out, _ = run(capsys, "sumset", "--family", "1", "--m", "2", "--s", "3", "--format", "json")
+    assert rc == 0
+    reports = json.loads(out)["reports"]
+    assert [(r["variant"], r["include_zero"]) for r in reports] == [
+        (variant, zero) for variant in SUMSET_VARIANTS for zero in (False, True)
+    ]
+    for report in reports:
+        assert set(report) == {
+            "family",
+            "m",
+            "s",
+            "variant",
+            "include_zero",
+            "is_sum_set",
+            "sigma0",
+            "sigma1",
+            "count_at_zero",
+        }
+        assert (report["family"], report["m"], report["s"]) == (1, 2, 3)
+
+
 # sha256 over (exit code, stdout, stderr) of `sumset --family f --m m --s s --variant v
 # --zero z --format fmt` for s in (3, 5), v in (paper-column, code-column, both) and
 # z in (as-built, with, without, both), nested in that order; the JSON entries were

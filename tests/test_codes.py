@@ -189,6 +189,25 @@ def test_generator_matrix_shape_and_rows():
                 assert code.rows[m + j] == codeword(ctx, dset, 0, basis)
 
 
+def test_binary_linear_code_is_its_length_and_rows():
+    code = BinaryLinearCode(n=3, rows=(0b011, 0b110))
+    assert code == (3, (0b011, 0b110)) and code.k == 2
+    assert BinaryLinearCode(n=3, rows=()).k == 0
+    assert code._replace(rows=(0b111,)).k == 1
+
+
+def test_binary_linear_code_refuses_rows_it_cannot_represent():
+    # a row with a bit at or past column n would count weight outside 0..n
+    for n, rows in ((2, (0b111,)), (2, (0b100,)), (0, (1,)), (3, (0b011, -1))):
+        with pytest.raises(ValueError, match="outside"):
+            BinaryLinearCode(n=n, rows=rows)
+    with pytest.raises(ValueError):
+        BinaryLinearCode(n=-1, rows=())
+    with pytest.raises(ValueError, match="outside"):
+        BinaryLinearCode(n=3, rows=(0b011,))._replace(n=1)
+    assert weight_distribution(BinaryLinearCode(n=3, rows=(0b111,))) == {0: 1, 3: 1}
+
+
 def test_generator_matrix_full_rank():
     for family in (1, 2, 3):
         for m in (2, 3, 4):
@@ -221,9 +240,9 @@ def test_weight_distribution_matches_gray_oracle():
             assert weight_distribution(code) == gray_weight_distribution(code), (family, m)
     # external codes: a repeated row gives the zero word a second message
     rows = family_code(1, 3).rows
-    repeated = BinaryLinearCode(n=32, k=7, rows=rows + rows[:1])
-    empty = BinaryLinearCode(n=3, k=0, rows=())
-    zero_col = BinaryLinearCode(n=3, k=2, rows=(0b110, 0b100))
+    repeated = BinaryLinearCode(n=32, rows=rows + rows[:1])
+    empty = BinaryLinearCode(n=3, rows=())
+    zero_col = BinaryLinearCode(n=3, rows=(0b110, 0b100))
     for code in (repeated, empty, zero_col):
         assert weight_distribution(code) == gray_weight_distribution(code)
     assert weight_distribution(repeated)[0] == 2
@@ -315,9 +334,9 @@ def bitwise_columns(code):
 
 def test_generator_columns_and_counts():
     codes = [
-        BinaryLinearCode(n=3, k=0, rows=()),
-        BinaryLinearCode(n=4, k=2, rows=(0b1011, 0b1100)),
-        BinaryLinearCode(n=5, k=3, rows=(0, 0b10000, 0b00001)),
+        BinaryLinearCode(n=3, rows=()),
+        BinaryLinearCode(n=4, rows=(0b1011, 0b1100)),
+        BinaryLinearCode(n=5, rows=(0, 0b10000, 0b00001)),
     ]
     codes += [family_code(family, m) for family, m in ((1, 2), (2, 3), (3, 4))]
     for code in codes:
@@ -331,7 +350,7 @@ def test_generator_columns_and_counts():
 def test_weight_distribution_guard():
     # one guard for every transform: 2^20 entries pass, 2^21 do not
     for k in (21, 25):
-        big = BinaryLinearCode(n=2, k=k, rows=tuple([1] * k))
+        big = BinaryLinearCode(n=2, rows=tuple([1] * k))
         with pytest.raises(TooLargeError, match="transform guard 20"):
             weight_distribution(big)
 

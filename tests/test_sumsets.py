@@ -39,14 +39,7 @@ from tracecodes.walsh import walsh_hadamard
 
 
 def hand_set(dim: int, vectors, include_zero: bool = False) -> OmegaSet:
-    return OmegaSet(
-        ambient_dim=dim,
-        vectors=frozenset(vectors),
-        include_zero=include_zero,
-        family=0,
-        m=0,
-        variant="external",
-    )
+    return OmegaSet(ambient_dim=dim, vectors=frozenset(vectors), include_zero=include_zero)
 
 
 @pytest.fixture
@@ -370,17 +363,8 @@ def test_full_nonzero_space_is_trivially_a_sum_set():
 def test_sum_set_report_json_shape():
     omega = build_omega(GF2m(2), 1, "code-column")
     payload = check_sum_set(omega, 3).to_json_dict()
-    assert set(payload) == {
-        "family",
-        "m",
-        "s",
-        "variant",
-        "include_zero",
-        "is_sum_set",
-        "sigma0",
-        "sigma1",
-        "count_at_zero",
-    }
+    # the CLI adds family, m, s and variant (tests/test_cli.py::test_sumset_json_report_shape)
+    assert set(payload) == {"include_zero", "is_sum_set", "sigma0", "sigma1", "count_at_zero"}
     assert payload["sigma0"] == 40
     assert payload["sigma1"] == 24
 
@@ -400,33 +384,38 @@ def test_symmetric_three_weight():
 
 
 def one_magnitude_sets():
-    yield hand_set(2, (1, 2, 3))
-    yield hand_set(3, range(1, 8))  # the full nonzero space
-    yield hand_set(3, range(1, 8), include_zero=True)  # the whole space: no nonzero magnitude
-    yield hand_set(2, ())  # the empty set: no nonzero magnitude, no members to inherit from
-    yield hand_set(3, (1, 2, 3), include_zero=True)  # a plane: zero is a member, magnitude 4
+    """(family, m, set): family and m are None for the hand-made sets."""
+    hand_sets = (
+        hand_set(2, (1, 2, 3)),
+        hand_set(3, range(1, 8)),  # the full nonzero space
+        hand_set(3, range(1, 8), include_zero=True),  # the whole space: no nonzero magnitude
+        hand_set(2, ()),  # the empty set: no nonzero magnitude, no members to inherit from
+        hand_set(3, (1, 2, 3), include_zero=True),  # a plane: zero is a member, magnitude 4
+    )
+    for omega in hand_sets:
+        yield None, None, omega
     for family, degrees in ((1, range(2, 9)), (2, (3, 5, 7))):
         for m in degrees:
             for poly in (0, largest_irreducible(m)):
-                yield build_omega(GF2m(m, poly), family, "code-column").with_zero(False)
+                yield family, m, build_omega(GF2m(m, poly), family, "code-column").with_zero(False)
 
 
 def test_one_magnitude_sets_are_decided_in_closed_form(transform_calls):
-    for omega in one_magnitude_sets():
+    for family, m, omega in one_magnitude_sets():
         assert len(spectrum_magnitudes(omega)) <= 1, omega
         before = len(transform_calls)
         reports = {s: check_sum_set(omega, s) for s in (3, 5, 7)}
         assert len(transform_calls) == before + 3  # one forward transform each, no inverse
         for s, report in reports.items():
-            assert report.is_sum_set, (omega.family, omega.m, s)
-            expected = sum_set_report_from_counts(omega, s, representation_counts(omega, s))
-            assert report == expected, (omega.family, omega.m, s)
-            if omega.m <= 4:
+            assert report.is_sum_set, (family, m, s)
+            expected = sum_set_report_from_counts(omega, representation_counts(omega, s))
+            assert report == expected, (family, m, s)
+            if m is None or m <= 4:
                 counts = representation_counts_by_convolution(omega, s)
-                assert report == sum_set_report_from_counts(omega, s, counts)
+                assert report == sum_set_report_from_counts(omega, counts)
             if omega.size**s <= 40000:  # the tuple loop is feasible
                 counts = representation_counts_naive(omega, s)
-                assert report == sum_set_report_from_counts(omega, s, counts)
+                assert report == sum_set_report_from_counts(omega, counts)
 
 
 def affine_rule_point_sets():
@@ -452,14 +441,14 @@ def test_transform_route_matches_the_report_from_counts(transform_calls):
         assert transform_calls[before:] == [1 << base.ambient_dim] * len(cases)
         for (omega, s), report in zip(cases, reports):
             counts = representation_counts(omega, s)
-            assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
+            assert report == sum_set_report_from_counts(omega, counts), (omega, s)
             assert (sum_set_witness_from_counts(omega, counts) is None) == report.is_sum_set
             if omega.ambient_dim <= 8 and s <= 5:
                 counts = representation_counts_by_convolution(omega, s)
-                assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
+                assert report == sum_set_report_from_counts(omega, counts), (omega, s)
             if omega.size**s <= 40000:  # the tuple loop is feasible
                 counts = representation_counts_naive(omega, s)
-                assert report == sum_set_report_from_counts(omega, s, counts), (omega, s)
+                assert report == sum_set_report_from_counts(omega, counts), (omega, s)
 
 
 def test_power_line_holds_for_one_odd_power_and_not_the_next():
