@@ -4,7 +4,9 @@ Field elements are plain ints: bit j is the coefficient of x^j in the
 polynomial basis {1, x, x^2, ...}.  Addition is XOR, multiplication is
 carry-less shift-and-reduce modulo an irreducible polynomial, and the
 absolute trace maps onto {0, 1}.  Bulk products come one O(q) row at a
-time from `mul_row`; the cached tables have q entries each.
+time from `mul_row`.  The cached tables have q entries each, and each is
+one O(q) walk: inverses along the powers of a generator, trace
+coordinates by doubling over the polynomial basis.
 """
 
 from __future__ import annotations
@@ -111,22 +113,6 @@ class GF2m(_Field):
                 a ^= self.poly
         return r
 
-    def power(self, a: FieldElement, e: int) -> FieldElement:
-        """a^e by square-and-multiply (e >= 0)."""
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        """Multiplicative inverse, computed as a^(2^m - 2)."""
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.power(a, self.size - 2)
-
     def trace(self, a: FieldElement) -> int:
         """Absolute trace: sum of the m Frobenius conjugates, in {0, 1}."""
         t = a
@@ -139,35 +125,31 @@ class GF2m(_Field):
 
 @lru_cache(maxsize=None)
 def trace_table(ctx: GF2m) -> tuple[int, ...]:
-    """trace(z) for every z, indexed by element bitmask, from m traces.
-
-    The trace is F_2-linear, so the table over z < 2^(j+1) is the table over
-    z < 2^j followed by that table XOR trace(x^j).
-    """
-    table = [0]
-    for j in range(ctx.m):
-        bit = ctx.trace(1 << j)
-        table += [t ^ bit for t in table]
-    return tuple(table)
+    """trace(z) for every z, indexed by element bitmask: bit 0 of `trace_coordinates`, as x^0 = 1."""
+    return tuple(c & 1 for c in trace_coordinates(ctx))
 
 
-def unit_inverses(ctx: GF2m) -> list[int]:
+@lru_cache(maxsize=None)
+def unit_inverses(ctx: GF2m) -> tuple[int, ...]:
     """x^-1 for every unit x, indexed by x (entry 0 is 0).
 
-    Montgomery's simultaneous inversion: prefix products of the units, one
-    `ctx.inv` of the last, then one backward pass; 3q - 5 products in all.
+    Walks the powers of the least unit g of order q - 1, one `mul_row` per
+    candidate g; the default polynomial need not be primitive, so g need
+    not be x.  Then (g^i)^-1 = g^(q-1-i).
     """
-    prefix = [1] * ctx.size  # prefix[x] = 1 * 2 * ... * x
-    acc = 1
-    for x in ctx.units():
-        acc = prefix[x] = ctx.mul(acc, x)
+    for g in range(2, ctx.size):  # the unit group is cyclic, so some g qualifies
+        row = mul_row(ctx, g)
+        powers = [1]  # g^i for i below the order of g
+        z = g
+        while z != 1:
+            powers.append(z)
+            z = row[z]
+        if len(powers) == ctx.size - 1:
+            break
     inverses = [0] * ctx.size
-    acc = ctx.inv(acc)  # (1 * 2 * ... * x)^-1 for the x about to be inverted
-    for x in range(ctx.size - 1, 1, -1):
-        inverses[x] = ctx.mul(acc, prefix[x - 1])
-        acc = ctx.mul(acc, x)
-    inverses[1] = acc
-    return inverses
+    for i, z in enumerate(powers):
+        inverses[z] = powers[-i]  # g^(q-1-i); powers[-0] is g^0 = 1
+    return tuple(inverses)
 
 
 def mul_row(ctx: GF2m, a: FieldElement) -> list[int]:
@@ -192,8 +174,18 @@ def trace_coordinates(ctx: GF2m) -> tuple[int, ...]:
 
     Bit j of entry z is trace(mu_j * z) where mu_j = x^j is the polynomial
     basis; this is the coordinate map used for matrix assembly and for
-    spelling field elements as GF(2) column vectors.
+    spelling field elements as GF(2) column vectors.  The map is F_2-linear
+    in z, so the table over z < 2^(i+1) is the table over z < 2^i followed
+    by that table XOR coords(x^i), whose bit j is trace(x^(i+j)): 2m - 1
+    scalar traces in all.
     """
-    tr = trace_table(ctx)
-    rows = [mul_row(ctx, 1 << j) for j in range(ctx.m)]  # x^j * z for every z
-    return tuple(sum(tr[row[z]] << j for j, row in enumerate(rows)) for z in ctx.elements())
+    traces = []  # trace(x^k) for k <= 2m - 2
+    power = 1
+    for _ in range(2 * ctx.m - 1):
+        traces.append(ctx.trace(power))
+        power = ctx.mul(power, 2)
+    table = [0]
+    for i in range(ctx.m):
+        image = sum(traces[i + j] << j for j in range(ctx.m))
+        table += [c ^ image for c in table]
+    return tuple(table)

@@ -41,7 +41,6 @@ from .codes import (
 from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
 
-VARIANTS = ("paper-column", "code-column")
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
 
 
@@ -64,6 +63,8 @@ class OmegaSet(_PointSet):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)
+        if not isinstance(include_zero, bool):  # an int flag would be counted as that many zeros
+            raise TypeError(f"include_zero must be a bool, got {include_zero!r}")
         top = 1 << ambient_dim
         for v in vectors:
             if not 0 < v < top:
@@ -353,3 +354,4 @@ def counted_sum_sets(
 
 
 COUNTED_VARIANTS = {"paper-column": paper_column_counts, "code-column": code_column_counts}
+VARIANTS = tuple(COUNTED_VARIANTS)

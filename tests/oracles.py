@@ -34,8 +34,13 @@ from tracecodes.walsh import TooLargeError, zero_vector
 BRUTE_MINIMAL_MAX_DIM = 14
 
 
+def irreducibles(m: int) -> list[int]:
+    """Every irreducible polynomial of degree m, in integer order."""
+    return [p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p)]
+
+
 def largest_irreducible(m: int) -> int:
-    return max(p for p in range(1 << m, 1 << (m + 1)) if is_irreducible(p))
+    return irreducibles(m)[-1]
 
 
 def family_code(family: int, m: int, poly: int = 0) -> BinaryLinearCode:

@@ -1,15 +1,17 @@
 """Library `verify` for every family at m = 9..16, past the transform guard,
-the character-sum conformance sweep at m = 7..10, and sum sets past the
+and under every irreducible polynomial of degree 2..10, the
+character-sum conformance sweep at m = 7..10, and sum sets past the
 CLI's cap: family-1 sets at m = 9 and 10 by transform, code-column sets of
 family 1 at m = 9..16 and family 2 at odd m = 11..15 from the code's
 weights, and paper-column sets of family 1 at m = 9..16 and family 2 at
 odd m = 7..15 counted per x.
 
-Asserts each report is ok, at m = 9 and 10 that the per-x hyperplane
-counts agree with the transform of the defining set's column counts, and
-that every sweep record matches its closed form.  For the family-1
-code-column set at m = 9 and 10, and the paper-column set at m = 9, at
-s = 3 with zero excluded and included, it asserts that `check_sum_set`
+Asserts each report is ok, that the report under every irreducible
+polynomial equals the one under the default polynomial, at m = 9 and 10
+that the per-x hyperplane counts agree with the transform of the defining
+set's column counts, and that every sweep record matches its closed form.
+For the family-1 code-column set at m = 9 and 10, and the paper-column set
+at m = 9, at s = 3 with zero excluded and included, it asserts that `check_sum_set`
 runs one forward transform per call and no inverse, that the code-column
 set without zero is a sum set, at m = 9 that every verdict equals the one
 read off `representation_counts`, and that `counted_sum_sets` gives the
@@ -33,7 +35,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from oracles import family_spectrum, sum_set_report_from_counts
+from oracles import family_spectrum, irreducibles, sum_set_report_from_counts
 from tracecodes import codes, sumsets
 from tracecodes.analysis import verify
 from tracecodes.charsums import conformance_sweep
@@ -50,6 +52,7 @@ from tracecodes.sumsets import (
 
 FAMILIES = (1, 2, 3)
 DEGREES = range(9, 17)
+POLY_DEGREES = range(2, 11)
 SPECTRUM_DEGREES = (9, 10)
 SWEEP_DEGREES = (7, 8, 9, 10)
 SUMSET_CASES = ((9, "code-column"), (9, "paper-column"), (10, "code-column"))
@@ -142,7 +145,20 @@ def check_counting_route(family: int, m: int) -> None:
           f" {time.perf_counter() - start:.2f}s", flush=True)
 
 
+def check_every_polynomial(m: int) -> None:
+    start = time.perf_counter()
+    polys = irreducibles(m)
+    for family in FAMILIES:
+        expected = verify(family, m)
+        for poly in polys:
+            assert verify(family, m, poly) == expected, (family, m, poly)
+    print(f"m={m}: verify families 1-3 equal under all {len(polys)} irreducible polynomials in"
+          f" {time.perf_counter() - start:.2f}s", flush=True)
+
+
 def main() -> None:
+    for m in POLY_DEGREES:
+        check_every_polynomial(m)
     for m, variant in SUMSET_CASES:
         check_sum_sets(m, variant)
     for family, m in WEIGHTS_ROUTE_CASES:

@@ -184,9 +184,8 @@ def test_generator_matrix_shape_and_rows():
             for row in code.rows:
                 assert row < 1 << code.n
             for j in range(m):
-                basis = ctx.power(2, j)
-                assert code.rows[j] == codeword(ctx, dset, basis, 0)
-                assert code.rows[m + j] == codeword(ctx, dset, 0, basis)
+                assert code.rows[j] == codeword(ctx, dset, 1 << j, 0)
+                assert code.rows[m + j] == codeword(ctx, dset, 0, 1 << j)
 
 
 def test_binary_linear_code_is_its_length_and_rows():

@@ -1,4 +1,4 @@
-"""GF(2^m) arithmetic: construction, multiplication, inversion, trace."""
+"""GF(2^m) arithmetic: construction, multiplication, trace, and the cached tables."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import largest_irreducible
+from oracles import irreducibles, largest_irreducible
 from tracecodes.field import (
     DEFAULT_POLYS,
     GF2m,
@@ -122,27 +122,6 @@ def test_mul_associative_and_distributive():
                 assert ctx.mul(a, b ^ c) == ctx.mul(a, b) ^ ctx.mul(a, c)
 
 
-def test_inv():
-    gf4 = GF2m(2)
-    assert gf4.inv(1) == 1
-    assert gf4.inv(2) == 3
-    with pytest.raises(ZeroDivisionError):
-        gf4.inv(0)
-    for m in (2, 3, 4, 5):
-        ctx = GF2m(m)
-        for a in ctx.units():
-            assert ctx.mul(a, ctx.inv(a)) == 1
-            assert ctx.inv(ctx.inv(a)) == a
-
-
-def test_power():
-    ctx = GF2m(4)
-    for a in ctx.units():
-        assert ctx.power(a, ctx.size - 1) == 1
-        assert ctx.power(a, 0) == 1
-        assert ctx.power(a, 3) == ctx.mul(a, ctx.mul(a, a))
-
-
 def test_trace_examples():
     for m in range(2, 9):
         ctx = GF2m(m)
@@ -198,46 +177,60 @@ def test_mul_row():
                 assert row == [ctx.mul(a, y) for y in ctx.elements()], (m, poly, a)
     for m, poly in NON_PRIMITIVE.items():
         ctx = GF2m(m, poly)
-        assert ctx.power(2, (1 << m) - 1) == 1
-        assert any(ctx.power(2, e) == 1 for e in range(1, (1 << m) - 1))
+        order, z = 1, 2
+        while z != 1:
+            order, z = order + 1, ctx.mul(z, 2)
+        assert order < (1 << m) - 1 and ((1 << m) - 1) % order == 0
+
+
+# every irreducible polynomial of degree 2..8, primitive or not
+ALL_POLYS = [(m, poly) for m in range(2, 9) for poly in irreducibles(m)]
+SAMPLE_UNITS = random.Random(16).sample(range(1, 1 << 16), 2000)
 
 
 def test_trace_table_is_the_trace_at_every_element():
-    for m in range(2, 9):
-        for poly in (DEFAULT_POLYS[m], NON_PRIMITIVE.get(m)):
-            if poly is None:
-                continue
-            ctx = GF2m(m, poly)
-            assert trace_table(ctx) == tuple(ctx.trace(z) for z in ctx.elements()), (m, poly)
+    for m, poly in ALL_POLYS:
+        ctx = GF2m(m, poly)
+        assert trace_table(ctx) == tuple(ctx.trace(z) for z in ctx.elements()), (m, poly)
     ctx = GF2m(16)
     table = trace_table(ctx)
-    assert len(table) == ctx.size
-    for z in random.Random(16).sample(range(ctx.size), 2000):
+    assert len(table) == ctx.size and table[0] == 0
+    for z in SAMPLE_UNITS:
         assert table[z] == ctx.trace(z), z
 
 
 def test_unit_inverses():
-    for m in range(2, 9):
-        for poly in (DEFAULT_POLYS[m], NON_PRIMITIVE.get(m)):
-            if poly is None:
-                continue
-            ctx = GF2m(m, poly)
-            inverses = unit_inverses(ctx)
-            assert len(inverses) == ctx.size and inverses[0] == 0
-            assert all(ctx.mul(x, inverses[x]) == 1 for x in ctx.units()), (m, poly)
+    for m, poly in ALL_POLYS:
+        ctx = GF2m(m, poly)
+        inverses = unit_inverses(ctx)
+        assert len(inverses) == ctx.size and inverses[0] == 0
+        assert all(ctx.mul(x, inverses[x]) == 1 for x in ctx.units()), (m, poly)
+    ctx = GF2m(16)  # its default polynomial is not primitive
+    inverses = unit_inverses(ctx)
+    assert len(inverses) == ctx.size and inverses[0] == 0
+    for x in SAMPLE_UNITS:
+        assert ctx.mul(x, inverses[x]) == 1, x
 
 
 def test_trace_coordinates_bits():
-    for m in (2, 3, 4):
-        ctx = GF2m(m)
+    for m, poly in ALL_POLYS:
+        ctx = GF2m(m, poly)
         coords = trace_coordinates(ctx)
+        tr = [ctx.trace(z) for z in ctx.elements()]
+        assert len(coords) == ctx.size
         for z in ctx.elements():
             for j in range(m):
-                basis = ctx.power(2, j)  # alpha^j
-                assert (coords[z] >> j) & 1 == ctx.trace(ctx.mul(basis, z))
-        for a in ctx.elements():
-            for b in ctx.elements():
-                assert coords[a ^ b] == coords[a] ^ coords[b]
+                assert (coords[z] >> j) & 1 == tr[ctx.mul(z, 1 << j)], (m, poly, z, j)
+        if m <= 4:
+            for a in ctx.elements():
+                for b in ctx.elements():
+                    assert coords[a ^ b] == coords[a] ^ coords[b]
+    ctx = GF2m(16)
+    coords = trace_coordinates(ctx)
+    assert len(coords) == ctx.size and coords[0] == 0
+    for z in SAMPLE_UNITS[:250]:  # 16 traces each
+        for j in range(16):
+            assert (coords[z] >> j) & 1 == ctx.trace(ctx.mul(z, 1 << j)), (z, j)
 
 
 def test_trace_coordinates_injective():

@@ -77,6 +77,20 @@ def test_omega_set_validation():
     assert omega.with_zero(False) is omega
 
 
+def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
+    # include_zero=2 would be counted as two zeros: set_size 3 and count_at_zero 14, not 2 and 4
+    for flag in (2, 1, 0, None, "yes"):
+        with pytest.raises(TypeError):
+            hand_set(3, (1,), include_zero=flag)
+    omega = hand_set(3, (1,), include_zero=True)
+    assert omega.size == 2 and check_sum_set(omega, 3).count_at_zero == 4
+    assert sum(representation_counts(omega, 3)) == 2**3
+    with pytest.raises(TypeError):
+        omega._replace(include_zero=2)
+    with pytest.raises(TypeError):
+        omega.with_zero(2)
+
+
 def test_hand_case_all_nonzero_vectors_of_dim2():
     omega = hand_set(2, (1, 2, 3))
     counts = representation_counts(omega, 3)
