@@ -16,8 +16,8 @@ from functools import lru_cache
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .codes import FAMILIES, paper_covers, slope_classes
-from .field import FieldElement, GF2m, mul_row, trace_table, unit_inverses
+from .codes import FAMILIES, paper_covers, slope_classes, slope_form
+from .field import FieldElement, GF2m, mul_row, trace_table
 
 
 class CharSumValue(NamedTuple):
@@ -42,9 +42,11 @@ class CharSumValue(NamedTuple):
 
 @lru_cache(maxsize=None)
 def reciprocal_sums(ctx: GF2m) -> frozenset[FieldElement]:
-    """The a = r + 1/r, r not in {0, 1}: those for which z^2 + a*z + 1 has two roots r and 1/r."""
-    inverses = unit_inverses(ctx)
-    return frozenset(r ^ inverses[r] for r in range(2, ctx.size))
+    """The a = r + 1/r, r not in {0, 1}: those for which z^2 + a*z + 1 has two roots r and 1/r.
+
+    They are the nonzero family-1 slopes of `codes.slope_form`.
+    """
+    return frozenset(slope_form(ctx, 1, r)[0] for r in range(2, ctx.size))
 
 
 class CaseRule(NamedTuple):

@@ -43,17 +43,8 @@ def json_line(obj: object) -> str:
 
 def enumerator_string(wd: WeightDistribution) -> str:
     """Render a weight distribution as '1 + 4x^3 + 5x^4 + ...'."""
-    terms = []
-    for w in sorted(wd):
-        count = wd[w]
-        if count == 0:
-            continue
-        if w == 0:
-            terms.append(str(count))
-        else:
-            coeff = "" if count == 1 else str(count)
-            terms.append(f"{coeff}x^{w}")
-    return " + ".join(terms) if terms else "0"
+    terms = [f"{'' if c == 1 else c}x^{w}" if w else str(c) for w, c in sorted(wd.items()) if c]
+    return " + ".join(terms) or "0"
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -88,8 +79,7 @@ def _verify_lines(report: VerificationReport) -> list[str]:
         f"minimal, sufficient condition: {'yes' if report.ab_minimal else 'no'}",
         f"minimal, exhaustive: {'yes' if report.brute_minimal else 'no'}",
     ]
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    lines += [f"note: {note}" for note in report.notes]
     lines.append("result: ok" if report.ok else "result: FAILED")
     return lines
 

@@ -2,8 +2,8 @@
 
 Three families of binary codes are built from pairs (x, y) with x nonzero;
 a family's `DefiningSet` is the ascending tuple of the pairs that meet its
-trace condition.  For fixed x that condition is affine in y, trace(u*y + c) = 0;
-`membership_form` is the one place the three conditions are written, and
+trace condition.  For fixed x that condition is affine in y, trace(a*x*y + c) = 0
+with slope a; `slope_form` is the one place the three conditions are written, and
 `defining_columns` the one place a pair becomes its generator column
 coords(x*y) | coords(x) << m.  Codeword (a, b) evaluates trace(a*x*y + b*x)
 over the pairs and is a packed int (bit i = coordinate of pair i).  A
@@ -66,15 +66,16 @@ class BinaryLinearCode(_Code):
         return len(self.rows)
 
 
-def membership_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, FieldElement]:
-    """(u, c) such that (x, y) is in the family's defining set iff trace(u*y + c) = 0."""
-    xx = ctx.mul(x, x)
-    if family == 1:
-        return xx ^ 1, 0
-    if family == 2:
-        return xx ^ 1, x
+def slope_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, FieldElement]:
+    """(a, c) such that (x, y) is in the family's defining set iff trace(a*x*y + c) = 0.
+
+    The paper writes trace(u*y + c) with u = x^2 + 1 (families 1, 2) or x^2 + x
+    (family 3), so a = u*x^-1 is x + x^-1 or x + 1; c is x for family 2, else 0.
+    """
+    if family in (1, 2):
+        return x ^ unit_inverses(ctx)[x], x if family == 2 else 0
     if family == 3:
-        return xx ^ x, 0
+        return x ^ 1, 0
     raise ValueError(f"family must be one of {FAMILIES}, got {family}")
 
 
@@ -82,8 +83,8 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
     """Length n and exact weight distribution of the family's code, in O(q).
 
     Codeword (a, b) has weight (2n - P - F)/4, with P the plain and F the
-    family character sum at (a, b).  Summed over y first, with (u, c) =
-    `membership_form` at x, F = q * sum over x in R_a = {x : u = a*x} of
+    family character sum at (a, b).  Summed over y first, with (a_x, c) =
+    `slope_form` at x, F = q * sum over x in R_a = {x : a_x = a} of
     (-1)^(trace(c) + trace(b*x)), counted over b by `sign_sums` for each R_a
     of `slope_classes`, R_0 included (F = 0 where R_a is empty).  P is q(q - 1)
     at (0, 0), -q at a = 0, b != 0 and 0 at a != 0, so n = q(q - 1 + F(0, 0)/q)/2.
@@ -128,27 +129,27 @@ def sign_sums(ctx: GF2m, members: Sequence[tuple[FieldElement, int]]) -> dict[in
 
 
 def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[FieldElement, int]]]:
-    """The units x grouped by a = u*x^-1, with (u, c) = `membership_form` at x.
+    """The units x grouped by their slope a, with (a, c) = `slope_form` at x.
 
-    Maps each a that some x reaches to R_a = {x : u*x^-1 = a}, as pairs
-    (x, trace(c)) in ascending x; R_0 holds exactly the x with u = 0.
+    Maps each slope a that some x has to R_a, the units x of that slope as
+    pairs (x, trace(c)) in ascending x; R_0 holds the x with u = a*x = 0.
     """
-    tr, inverses = trace_table(ctx), unit_inverses(ctx)
+    tr = trace_table(ctx)
     classes: dict[FieldElement, list[tuple[FieldElement, int]]] = {}
     for x in ctx.units():
-        u, c = membership_form(ctx, family, x)
-        classes.setdefault(ctx.mul(u, inverses[x]), []).append((x, tr[c]))
+        a, c = slope_form(ctx, family, x)
+        classes.setdefault(a, []).append((x, tr[c]))
     return classes
 
 
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
-    """All qualifying pairs in ascending (x, y) order, one multiplication row per x."""
+    """All qualifying pairs in ascending (x, y) order, one product a*x and one row per x."""
     tr = trace_table(ctx)
     pairs = []
     for x in ctx.units():
-        u, c = membership_form(ctx, family, x)
+        a, c = slope_form(ctx, family, x)
         bit = tr[c]
-        pairs.extend((x, y) for y, uy in enumerate(mul_row(ctx, u)) if tr[uy] == bit)
+        pairs.extend((x, y) for y, uy in enumerate(mul_row(ctx, ctx.mul(a, x))) if tr[uy] == bit)
     return tuple(pairs)
 
 

@@ -76,6 +76,8 @@ class GF2m(_Field):
     __slots__ = ()
 
     def __new__(cls, m: int, poly: int = 0) -> GF2m:
+        if not isinstance(m, int) or not isinstance(poly, int):  # 3.0 would pass the range checks
+            raise TypeError(f"field degree and polynomial must be ints, got {m!r} and {poly!r}")
         if not MIN_DEGREE <= m <= MAX_DEGREE:
             raise ValueError(f"field degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {m}")
         poly = poly or DEFAULT_POLYS[m]
@@ -115,8 +117,7 @@ class GF2m(_Field):
 
     def trace(self, a: FieldElement) -> int:
         """Absolute trace: sum of the m Frobenius conjugates, in {0, 1}."""
-        t = a
-        s = a
+        t = s = a
         for _ in range(self.m - 1):
             s = self.mul(s, s)
             t ^= s

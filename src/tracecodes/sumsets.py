@@ -35,8 +35,8 @@ from .codes import (
     distinct_nonzero_columns,
     enumerate_defining_set,
     hyperplane_distribution,
-    membership_form,
     paper_covers,
+    slope_form,
 )
 from .field import GF2m, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
@@ -48,6 +48,11 @@ class _PointSet(NamedTuple):
     ambient_dim: int
     vectors: frozenset[int]
     include_zero: bool
+
+
+def _check_zero_flag(include_zero: bool) -> None:
+    if not isinstance(include_zero, bool):  # an int flag would be counted as that many zeros
+        raise TypeError(f"include_zero must be a bool, got {include_zero!r}")
 
 
 class OmegaSet(_PointSet):
@@ -63,8 +68,7 @@ class OmegaSet(_PointSet):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)
-        if not isinstance(include_zero, bool):  # an int flag would be counted as that many zeros
-            raise TypeError(f"include_zero must be a bool, got {include_zero!r}")
+        _check_zero_flag(include_zero)
         top = 1 << ambient_dim
         for v in vectors:
             if not 0 < v < top:
@@ -251,7 +255,7 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
     A message, its m-bit parts read as field elements (alpha, beta), or
     (alpha, gamma, beta) for family 2, takes the value
     trace((alpha x^2 + beta) y [+ gamma x]) at the image of pair (x, y).
-    `membership_form` must give u_x = x^2 + 1 and c_x = 0 (family 1) or x
+    `slope_form` must give u_x = a*x = x^2 + 1 and c_x = 0 (family 1) or x
     (family 2), and `distinct_nonzero_columns` must hold, so that distinct
     pairs with y != 0 have distinct nonzero images; AssertionError
     otherwise.  For x not in {0, 1} the sum over the y of x is
@@ -274,10 +278,11 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
     q, half = ctx.size, ctx.size >> 1
     squares = {}  # u_x = x^2 + 1 -> x^2, for the x not in {0, 1}
     for x in ctx.units():
-        xx = ctx.mul(x, x)
-        if membership_form(ctx, family, x) != (xx ^ 1, x if family == 2 else 0):
+        a, c = slope_form(ctx, family, x)
+        u, xx = ctx.mul(a, x), ctx.mul(x, x)
+        if (u, c) != (xx ^ 1, x if family == 2 else 0):
             raise AssertionError(f"family {family} membership at m = {ctx.m} is not the paper's")
-        squares[xx ^ 1] = xx
+        squares[u] = xx
     del squares[0]
     patterns = [{half * (votes - 2 * j): comb(votes, j) * q >> votes for j in range(votes + 1)}
                 for votes in range(3)]
@@ -324,6 +329,7 @@ def counted_sum_sets(
     nonzero = (1 << dim) - 1
     reports = []
     for include_zero in zero_flags:
+        _check_zero_flag(include_zero)
         _check_power_cost(s, members + include_zero, dim, values, f"{values} values of t")
         zero = int(include_zero)
         powers = {t: (t + zero) ** s for t in histogram}

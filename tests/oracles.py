@@ -24,10 +24,9 @@ from tracecodes.codes import (
     defining_columns,
     enumerate_defining_set,
     generator_matrix,
-    membership_form,
 )
 from tracecodes.charsums import family_char_sum_closed, plain_char_sum_closed
-from tracecodes.field import FieldElement, GF2m, is_irreducible, mul_row, trace_table, unit_inverses
+from tracecodes.field import FieldElement, GF2m, is_irreducible, mul_row, trace_table
 from tracecodes.sumsets import OmegaSet, SumSetReport
 from tracecodes.walsh import TooLargeError, zero_vector
 
@@ -54,9 +53,25 @@ def family_spectrum(ctx: GF2m, family: int) -> Spectrum:
     return column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), 2 * ctx.m)
 
 
+def paper_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, FieldElement]:
+    """The paper's (u, c): (x, y) is in the family's defining set iff trace(u*y + c) = 0.
+
+    u = x^2 + 1 for families 1 and 2 and x^2 + x for family 3; c = x for
+    family 2 and 0 otherwise.  The oracle of `codes.slope_form`.
+    """
+    xx = ctx.mul(x, x)
+    if family == 1:
+        return xx ^ 1, 0
+    if family == 2:
+        return xx ^ 1, x
+    if family == 3:
+        return xx ^ x, 0
+    raise ValueError(f"family must be 1, 2 or 3, got {family}")
+
+
 def membership_element(ctx: GF2m, family: int, x: FieldElement, y: FieldElement) -> FieldElement:
-    """The field element whose trace decides membership of (x, y)."""
-    u, c = membership_form(ctx, family, x)
+    """The field element whose trace decides membership of (x, y), from `paper_form`."""
+    u, c = paper_form(ctx, family, x)
     return ctx.mul(u, y) ^ c
 
 
@@ -171,8 +186,8 @@ def reciprocal_quadratic_roots(ctx: GF2m, a: FieldElement) -> frozenset[int]:
 def char_sum(ctx: GF2m, a: FieldElement, b: FieldElement, family: int | None = None) -> int:
     """sum over x != 0, all y of (-1)^(trace(u*y + c) + trace(a*x*y + b*x)).
 
-    (u, c) is the family's membership form (`codes.membership_form`), or
-    (0, 0) for the plain sum, family None.  By additivity of the trace each
+    (u, c) is the family's `paper_form`, or (0, 0) for the plain sum,
+    family None.  By additivity of the trace each
     x needs one row, that of u + a*x.
     """
     tr = trace_table(ctx)
@@ -180,7 +195,7 @@ def char_sum(ctx: GF2m, a: FieldElement, b: FieldElement, family: int | None = N
     q = ctx.size
     total = 0
     for x in ctx.units():
-        u, c = (0, 0) if family is None else membership_form(ctx, family, x)
+        u, c = (0, 0) if family is None else paper_form(ctx, family, x)
         shift = c ^ row_b[x]
         total += q - 2 * sum([tr[z ^ shift] for z in mul_row(ctx, u ^ row_a[x])])
     return total
@@ -192,16 +207,17 @@ def char_sum_table(ctx: GF2m, family: int | None = None) -> list[int]:
     The table oracle, refused beyond the transform guard like any vector
     over F_2^(2m).  For fixed x the sum over y is q at the one a with
     a*x = u and 0 at every other a, so each x adds
-    q * (-1)^(trace(c) + trace(b*x)) over b at a = u*x^-1 only.
+    q * (-1)^(trace(c) + trace(b*x)) over b at that a only, found by a
+    search of x's multiplication row rather than by `unit_inverses`.
     """
     q, tr = ctx.size, trace_table(ctx)
-    inverses = unit_inverses(ctx)
     table = zero_vector(2 * ctx.m)
     for x in ctx.units():
-        u, c = (0, 0) if family is None else membership_form(ctx, family, x)
-        a = ctx.mul(u, inverses[x])
+        u, c = (0, 0) if family is None else paper_form(ctx, family, x)
+        row_x = mul_row(ctx, x)
+        a = row_x.index(u)
         sign = -q if tr[c] else q
-        row = [-sign if tr[bx] else sign for bx in mul_row(ctx, x)]  # over b
+        row = [-sign if tr[bx] else sign for bx in row_x]  # over b
         table[a::q] = map(add, table[a::q], row)
     return table
 

@@ -1,6 +1,8 @@
 """Library `verify` for every family at m = 9..16, past the transform guard,
 and under every irreducible polynomial of degree 2..10, the
-character-sum conformance sweep at m = 7..10, and sum sets past the
+character-sum conformance sweep at m = 7..10 and under every irreducible
+polynomial of degree 2..7, the paper-column counts under every irreducible
+polynomial of degree 2..10, and sum sets past the
 CLI's cap: family-1 sets at m = 9 and 10 by transform, code-column sets of
 family 1 at m = 9..16 and family 2 at odd m = 11..15 from the code's
 weights, and paper-column sets of family 1 at m = 9..16 and family 2 at
@@ -10,6 +12,10 @@ Asserts each report is ok, that the report under every irreducible
 polynomial equals the one under the default polynomial, at m = 9 and 10
 that the per-x hyperplane counts agree with the transform of the defining
 set's column counts, and that every sweep record matches its closed form.
+Under every irreducible polynomial the sweep's record counts per (sum, case)
+and the `paper_column_counts` set (family 1, and family 2 at odd m) equal
+the default polynomial's: these read the slope classes and reciprocal sums
+that `verify` does not.
 For the family-1 code-column set at m = 9 and 10, and the paper-column set
 at m = 9, at s = 3 with zero excluded and included, it asserts that `check_sum_set`
 runs one forward transform per call and no inverse, that the code-column
@@ -35,11 +41,13 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
+from collections import Counter
+
 from oracles import family_spectrum, irreducibles, sum_set_report_from_counts
 from tracecodes import codes, sumsets
 from tracecodes.analysis import verify
 from tracecodes.charsums import conformance_sweep
-from tracecodes.codes import hyperplane_distribution
+from tracecodes.codes import hyperplane_distribution, paper_covers
 from tracecodes.field import GF2m
 from tracecodes.sumsets import (
     build_omega,
@@ -53,6 +61,7 @@ from tracecodes.sumsets import (
 FAMILIES = (1, 2, 3)
 DEGREES = range(9, 17)
 POLY_DEGREES = range(2, 11)
+CONFORMANCE_POLY_DEGREES = range(2, 8)
 SPECTRUM_DEGREES = (9, 10)
 SWEEP_DEGREES = (7, 8, 9, 10)
 SUMSET_CASES = ((9, "code-column"), (9, "paper-column"), (10, "code-column"))
@@ -156,9 +165,44 @@ def check_every_polynomial(m: int) -> None:
           f" {time.perf_counter() - start:.2f}s", flush=True)
 
 
+def conformance_counts(ctx: GF2m) -> Counter[tuple[str, str]]:
+    """Sweep records per (sum, case); asserts that every record matches."""
+    counts: Counter[tuple[str, str]] = Counter()
+    for record in conformance_sweep(ctx):
+        assert record.match, (ctx, record)
+        counts[record.sum_name, record.case] += 1
+    return counts
+
+
+def check_every_polynomial_conformance(m: int) -> None:
+    start = time.perf_counter()
+    polys = irreducibles(m)
+    expected = conformance_counts(GF2m(m))
+    for poly in polys:
+        assert conformance_counts(GF2m(m, poly)) == expected, (m, poly)
+    print(f"m={m}: charsums {sum(expected.values())} records, 0 mismatches and equal counts per"
+          f" (sum, case) under all {len(polys)} irreducible polynomials in"
+          f" {time.perf_counter() - start:.2f}s", flush=True)
+
+
+def check_every_polynomial_paper_column(m: int) -> None:
+    start = time.perf_counter()
+    polys = irreducibles(m)
+    families = [f for f in (1, 2) if paper_covers(f, m)]
+    for family in families:
+        expected = paper_column_counts(GF2m(m), family)
+        for poly in polys:
+            assert paper_column_counts(GF2m(m, poly), family) == expected, (family, m, poly)
+    print(f"m={m}: paper-column counts of families {families} equal under all {len(polys)}"
+          f" irreducible polynomials in {time.perf_counter() - start:.2f}s", flush=True)
+
+
 def main() -> None:
     for m in POLY_DEGREES:
         check_every_polynomial(m)
+        check_every_polynomial_paper_column(m)
+    for m in CONFORMANCE_POLY_DEGREES:
+        check_every_polynomial_conformance(m)
     for m, variant in SUMSET_CASES:
         check_sum_sets(m, variant)
     for family, m in WEIGHTS_ROUTE_CASES:

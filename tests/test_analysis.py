@@ -307,7 +307,7 @@ def test_verify_triple_fallback_keeps_the_transform_guard(monkeypatch):
 
 def test_verify_rejects_a_rank_deficient_code(monkeypatch):
     # only x = 1 keeps its y's: codewords trace(a*y + b) span m + 1 < 2m dimensions
-    monkeypatch.setattr(codes, "membership_form", lambda ctx, family, x: (0, int(x != 1)))
+    monkeypatch.setattr(codes, "slope_form", lambda ctx, family, x: (0, int(x != 1)))
     ctx = GF2m(3)
     assert ctx.trace(1) == 1
     with pytest.raises(ValueError, match=r"rank deficient \(k=6\)") as raised:

@@ -14,9 +14,11 @@ from oracles import (
     family_spectrum,
     gray_codewords,
     gray_weight_distribution,
+    irreducibles,
     largest_irreducible,
     matrix_rank,
     membership_element,
+    paper_form,
 )
 from tracecodes import TooLargeError
 from tracecodes.analysis import verify
@@ -33,9 +35,10 @@ from tracecodes.codes import (
     minimum_distance,
     sign_sums,
     slope_classes,
+    slope_form,
     weight_distribution,
 )
-from tracecodes.field import GF2m, trace_coordinates
+from tracecodes.field import GF2m, trace_coordinates, unit_inverses
 
 # exact distributions, checked against the closed forms elsewhere
 TABLE_ROWS = {
@@ -58,6 +61,23 @@ def test_membership_element_forms():
             assert membership_element(ctx, 3, x, y) == ctx.mul(y, xx) ^ ctx.mul(x, y)
     with pytest.raises(ValueError):
         membership_element(ctx, 4, 1, 1)
+
+
+def test_slope_form_times_x_is_the_paper_form():
+    # a*x = u and the same c at every unit under each irreducible polynomial of
+    # degree 2..8, and at a seeded sample of 2000 units of GF(2^16)
+    fields = [GF2m(m, poly) for m in range(2, 9) for poly in irreducibles(m)]
+    assert len(fields) == 69
+    cases = [(ctx, ctx.units()) for ctx in fields]
+    ctx16 = GF2m(16)
+    cases.append((ctx16, random.Random(16).sample(ctx16.units(), 2000)))
+    for ctx, units in cases:
+        for family in (1, 2, 3):
+            for x in units:
+                a, c = slope_form(ctx, family, x)
+                assert (ctx.mul(a, x), c) == paper_form(ctx, family, x), (ctx, family, x)
+    with pytest.raises(ValueError):
+        slope_form(GF2m(3), 4, 1)
 
 
 def test_defining_set_sizes():
@@ -276,12 +296,13 @@ def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch
         m = 2 + trial % 4
         ctx = GF2m(m, rng.choice((0, largest_irreducible(m))))
         a0 = rng.randrange(1, ctx.size)
-        forms = {}
+        forms, slopes, inverses = {}, {}, unit_inverses(ctx)
         for x in ctx.units():
             draw = rng.random()
             u = ctx.mul(a0, x) if draw < 0.4 else 0 if draw < 0.55 else rng.randrange(ctx.size)
             forms[x] = (u, rng.randrange(ctx.size))
-        monkeypatch.setattr(codes_module, "membership_form", lambda ctx, family, x: forms[x])
+            slopes[x] = (ctx.mul(u, inverses[x]), forms[x][1])  # the slope form (u * x^-1, c)
+        monkeypatch.setattr(codes_module, "slope_form", lambda ctx, family, x: slopes[x])
         spectrum = family_spectrum(ctx, 1)
         assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), trial
         special = [x for x, (u, _) in forms.items() if u == ctx.mul(a0, x) and u]

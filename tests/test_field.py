@@ -56,6 +56,10 @@ def test_constructor_defaults_and_validation():
         GF2m(2, 0b101)  # x^2+1 = (x+1)^2
     with pytest.raises(ValueError):
         GF2m(3, 0b111)  # degree 2 polynomial for m=3
+    # a float degree would pass the range checks and fail at its first .size
+    for args in ((3.0,), (3, 11.0), ("3",), (3, "11"), (None,)):
+        with pytest.raises(TypeError):
+            GF2m(*args)
     for poly in (-11, -9, -3):  # -11 and -9 have bit_length 4, as a degree-3 poly would
         with pytest.raises(ValueError):
             GF2m(3, poly)

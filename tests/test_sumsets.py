@@ -25,7 +25,7 @@ from tracecodes.codes import (
     generator_columns,
     hyperplane_distribution,
 )
-from tracecodes.field import GF2m
+from tracecodes.field import GF2m, unit_inverses
 from tracecodes.sumsets import (
     OmegaSet,
     build_omega,
@@ -78,7 +78,8 @@ def test_omega_set_validation():
 
 
 def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
-    # include_zero=2 would be counted as two zeros: set_size 3 and count_at_zero 14, not 2 and 4
+    # include_zero=2 would be counted as two zeros: set_size 3 and count_at_zero 14, not 2 and 4;
+    # in counted_sum_sets, set_size 34 and count_at_zero 680, not 33 and 577
     for flag in (2, 1, 0, None, "yes"):
         with pytest.raises(TypeError):
             hand_set(3, (1,), include_zero=flag)
@@ -89,6 +90,10 @@ def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
         omega._replace(include_zero=2)
     with pytest.raises(TypeError):
         omega.with_zero(2)
+    counted = code_column_counts(GF2m(3), 1)
+    for flag in (2, 1, 0, None, "yes"):
+        with pytest.raises(TypeError):
+            counted_sum_sets(counted, 3, (flag,))
 
 
 def test_hand_case_all_nonzero_vectors_of_dim2():
@@ -303,7 +308,7 @@ def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch):
     monkeypatch.undo()
     # only x = 1 keeps its y's: a code of rank m + 1 < 2m, so t(u) = n - 2 wt(u) misses
     # the u != 0 of weight 0
-    monkeypatch.setattr(codes, "membership_form", lambda ctx, family, x: (0, int(x != 1)))
+    monkeypatch.setattr(codes, "slope_form", lambda ctx, family, x: (0, int(x != 1)))
     with pytest.raises(AssertionError, match="rank deficient"):
         code_column_counts(GF2m(3), 1)
 
@@ -334,13 +339,17 @@ def test_paper_column_route_checks_the_conditions_of_its_identity(monkeypatch):
         paper_column_counts(GF2m(4), 2)
     with pytest.raises(ValueError, match="odd"):
         counted_sum_sets(paper_column_counts(GF2m(3), 1), 4)
+
+    def slope_form_of(u_of):  # the slope form (u * x^-1, c) of a membership form (u, 0)
+        return lambda ctx, family, x: (ctx.mul(u_of(ctx, x), unit_inverses(ctx)[x]), 0)
+
     forms = (
-        lambda ctx, family, x: (ctx.mul(x, x) ^ x, 0),  # family 3's u
-        lambda ctx, family, x: (ctx.mul(x, x) ^ 1, 0),  # family 1's c for family 2
+        slope_form_of(lambda ctx, x: ctx.mul(x, x) ^ x),  # family 3's u
+        slope_form_of(lambda ctx, x: ctx.mul(x, x) ^ 1),  # family 1's c for family 2
     )
     for family, form in zip((1, 2), forms):
-        monkeypatch.setattr(codes, "membership_form", form)
-        monkeypatch.setattr(sumsets, "membership_form", form)
+        monkeypatch.setattr(codes, "slope_form", form)
+        monkeypatch.setattr(sumsets, "slope_form", form)
         with pytest.raises(AssertionError, match="not the paper's"):
             paper_column_counts(GF2m(3), family)
     monkeypatch.undo()
