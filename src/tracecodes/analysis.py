@@ -1,8 +1,11 @@
 """Code-level verdicts: dual counts, projectivity, Griesmer class, minimality.
 
-Everything is exact.  The first two dual weight counts are solved from the
-first two power moments in integers, so a distribution that is not
-consistent with any binary linear code is rejected rather than rounded.
+Everything is exact.  The first two dual weight counts are the first two
+moments of the spectrum values t = n - 2w over the 2^k messages: the sum of
+t is 2^k times the number of zero columns, and the sum of t^2 is 2^k times
+the number of ordered pairs of equal columns.  Both are solved in integers,
+so a distribution that is not consistent with any binary linear code is
+rejected rather than rounded.
 """
 
 from __future__ import annotations
@@ -30,27 +33,22 @@ class DualCounts(NamedTuple):
 
 
 def pless_dual_counts(wd: WeightDistribution, n: int, k: int) -> DualCounts:
-    """Numbers of dual words of weight 1 and 2, from the first two power moments.
+    """Numbers of dual words of weight 1 and 2, from the first two moments of t = n - 2w.
 
-    Solves the two binary Pless identities exactly,
-    A1 = n - S1 / 2^(k-1) and
-    2 A2 = S2 / 2^(k-2) - n (n + 1) + 2n A1,
-    in integers over the common denominator D = 2^max(0, k-1) (S1, S2 the
-    first two moments of wd); a non-integral or negative solution means the
-    distribution is not that of a binary [n, k] code.
+    Each generator column c adds (-1)^(u.c) to the t of message u, so over
+    the 2^k messages sum t = 2^k A1 (the zero columns) and
+    sum t^2 = 2^k (n + 2 A2) (the pairs i < j of equal columns): these are
+    the first two binary Pless identities.  A non-integral or negative
+    solution means the distribution is not that of a binary [n, k] code.
     """
     total = sum(wd.values())
     if total != 1 << k:
         raise ValueError(f"distribution sums to {total}, expected {1 << k}")
-    s1 = sum(w * c for w, c in wd.items())
-    s2 = sum(w * w * c for w, c in wd.items())
-    denominator = 1 << max(0, k - 1)
-    a1_times_d = n * denominator - (s1 << max(0, 1 - k))
-    a1 = _solved_count("weight-1", a1_times_d, denominator)
-    a2_times_2d = (
-        (s2 << (max(0, k - 1) - k + 2)) - n * (n + 1) * denominator + 2 * n * a1_times_d
+    s1 = sum((n - 2 * w) * c for w, c in wd.items())
+    s2 = sum((n - 2 * w) ** 2 * c for w, c in wd.items())
+    return DualCounts(
+        _solved_count("weight-1", s1, 1 << k), _solved_count("weight-2", s2 - (n << k), 2 << k)
     )
-    return DualCounts(a1, _solved_count("weight-2", a2_times_2d, 2 * denominator))
 
 
 def _solved_count(name: str, numerator: int, denominator: int) -> int:
@@ -194,23 +192,11 @@ class VerificationReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "d": self.d,
-            "counts": {str(w): c for w, c in sorted(self.counts.items())},
-            "table_match": self.table_match,
-            "dual_weight1": self.dual_counts.weight1,
-            "dual_weight2": self.dual_counts.weight2,
-            "projective": self.projective,
-            "griesmer": self.griesmer,
-            "ab_minimal": self.ab_minimal,
-            "brute_minimal": self.brute_minimal,
-            "ok": self.ok,
-            "notes": list(self.notes),
-        }
+        """The fields by name, dual_counts split in two and weights as string keys."""
+        row = self._asdict()
+        row["dual_weight1"], row["dual_weight2"] = row.pop("dual_counts")
+        row.update(counts={str(w): c for w, c in sorted(self.counts.items())}, notes=list(self.notes))
+        return row
 
 
 def verify(family: int, m: int, poly: int = 0) -> VerificationReport:

@@ -17,7 +17,7 @@ from operator import add
 from typing import Iterator, NamedTuple
 
 from .codes import FAMILIES, paper_covers, slope_classes, slope_form
-from .field import FieldElement, GF2m, mul_row, trace_table
+from .field import CACHED_FIELDS, FieldElement, GF2m, mul_row, trace_table
 
 
 class CharSumValue(NamedTuple):
@@ -40,7 +40,7 @@ class CharSumValue(NamedTuple):
         return observed in self.candidates
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_FIELDS)
 def reciprocal_sums(ctx: GF2m) -> frozenset[FieldElement]:
     """The a = r + 1/r, r not in {0, 1}: those for which z^2 + a*z + 1 has two roots r and 1/r.
 
@@ -131,19 +131,21 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
     return CaseRule(a, by_bit[::-1] if trace_table(ctx)[a] else by_bit)
 
 
-def _require_nonzero_pair(a: FieldElement, b: FieldElement) -> None:
+def _require_nonzero_pair(ctx: GF2m, a: FieldElement, b: FieldElement) -> None:
+    if not (0 <= a < ctx.size and 0 <= b < ctx.size):
+        raise ValueError(f"(a, b) = ({a}, {b}) is not a pair of elements of GF(2^{ctx.m})")
     if a == 0 and b == 0:
         raise ValueError("closed form is stated for (a, b) != (0, 0)")
 
 
 def plain_char_sum_closed(ctx: GF2m, a: FieldElement, b: FieldElement) -> CharSumValue:
-    _require_nonzero_pair(a, b)
+    _require_nonzero_pair(ctx, a, b)
     return case_rule(ctx, None, a).value(ctx, b)
 
 
 def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> CharSumValue:
     """Case table for the family sum; family 2 requires odd m."""
-    _require_nonzero_pair(a, b)
+    _require_nonzero_pair(ctx, a, b)
     return case_rule(ctx, family, a).value(ctx, b)
 
 

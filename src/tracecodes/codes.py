@@ -50,8 +50,9 @@ class BinaryLinearCode(_Code):
 
     __slots__ = ()
 
-    def __new__(cls, n: int, rows: tuple[int, ...]) -> BinaryLinearCode:
+    def __new__(cls, n: int, rows: Iterable[int]) -> BinaryLinearCode:
         top = 1 << n  # ValueError for a negative n
+        rows = tuple(rows)  # a caller's list could change after the check
         for row in rows:
             if not 0 <= row < top:
                 raise ValueError(f"row {row} outside the {n}-bit range")

@@ -39,6 +39,10 @@ DEFAULT_POLYS = {
 MIN_DEGREE = 2
 MAX_DEGREE = 16
 
+# Fields whose tables each cache keeps: one per supported degree, so a loop
+# over reduction polynomials holds a bounded number of q-entry tables.
+CACHED_FIELDS = MAX_DEGREE - MIN_DEGREE + 1
+
 
 def poly_mod(a: int, b: int) -> int:
     """Remainder of carry-less division of polynomial a by polynomial b."""
@@ -124,13 +128,13 @@ class GF2m(_Field):
         return t
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_FIELDS)
 def trace_table(ctx: GF2m) -> tuple[int, ...]:
     """trace(z) for every z, indexed by element bitmask: bit 0 of `trace_coordinates`, as x^0 = 1."""
     return tuple(c & 1 for c in trace_coordinates(ctx))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_FIELDS)
 def unit_inverses(ctx: GF2m) -> tuple[int, ...]:
     """x^-1 for every unit x, indexed by x (entry 0 is 0).
 
@@ -169,7 +173,7 @@ def mul_row(ctx: GF2m, a: FieldElement) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHED_FIELDS)
 def trace_coordinates(ctx: GF2m) -> tuple[int, ...]:
     """Packed coordinate vector (trace(x^j * z) for j < m) per element z.
 

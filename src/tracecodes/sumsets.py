@@ -64,11 +64,12 @@ class OmegaSet(_PointSet):
 
     __slots__ = ()
 
-    def __new__(cls, ambient_dim: int, vectors: frozenset[int], include_zero: bool) -> OmegaSet:
+    def __new__(cls, ambient_dim: int, vectors: Iterable[int], include_zero: bool) -> OmegaSet:
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)
         _check_zero_flag(include_zero)
+        vectors = frozenset(vectors)  # a caller's set could change after the check
         top = 1 << ambient_dim
         for v in vectors:
             if not 0 < v < top:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from math import comb
 
 import pytest
 
@@ -113,6 +115,21 @@ def test_pless_moment_identities_substitute_back():
         assert s2 == q ** (k - 2) * (
             (q - 1) * n * (q * n - n + 1) - (2 * q * n - q - 2 * n + 2) * a1 + 2 * a2
         )
+
+
+def test_pless_dual_counts_are_the_zero_columns_and_equal_column_pairs():
+    # columns drawn from the first r <= k coordinates: rank-deficient when r < k,
+    # and zero or repeated columns are common
+    rng = random.Random(6007)
+    for _ in range(300):
+        k, n = rng.randint(0, 6), rng.randint(0, 14)
+        r = rng.randint(0, k)
+        columns = [rng.getrandbits(r) for _ in range(n)]
+        code = BinaryLinearCode(n=n, rows=codes.transpose(columns, k))
+        columns = generator_columns(code)
+        pairs = sum(comb(c, 2) for c in Counter(columns).values())
+        expected = DualCounts(columns.count(0), pairs)
+        assert pless_dual_counts(weight_distribution(code), n, k) == expected, (columns, k)
 
 
 def test_row_reduce_and_rank():

@@ -84,12 +84,14 @@ def test_char_sum_value_api():
 
 
 def test_closed_forms_reject_zero_pair():
+    # and pairs outside GF(8): a = 8 would pass as a unit != 1, a = -1 as a != 0
     ctx = GF2m(3)
-    with pytest.raises(ValueError):
-        plain_char_sum_closed(ctx, 0, 0)
-    for family in (1, 2, 3):
+    for a, b in ((0, 0), (8, 1), (1, 8), (-1, 0)):
         with pytest.raises(ValueError):
-            family_char_sum_closed(ctx, family, 0, 0)
+            plain_char_sum_closed(ctx, a, b)
+        for family in (1, 2, 3):
+            with pytest.raises(ValueError):
+                family_char_sum_closed(ctx, family, a, b)
 
 
 def test_family2_closed_form_rejects_even_m():

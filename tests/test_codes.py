@@ -213,6 +213,12 @@ def test_binary_linear_code_is_its_length_and_rows():
     assert code == (3, (0b011, 0b110)) and code.k == 2
     assert BinaryLinearCode(n=3, rows=()).k == 0
     assert code._replace(rows=(0b111,)).k == 1
+    # the record keeps its own copy, so a row it refuses cannot be appended later
+    rows = [0b011]
+    code = BinaryLinearCode(3, rows)
+    rows.append(0b1111111)
+    assert code.rows == (0b011,) and hash(code) == hash(BinaryLinearCode(3, (0b011,)))
+    assert weight_distribution(code) == {0: 1, 2: 1}
 
 
 def test_binary_linear_code_refuses_rows_it_cannot_represent():

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from oracles import irreducibles, largest_irreducible
+from tracecodes.charsums import reciprocal_sums
 from tracecodes.field import (
     DEFAULT_POLYS,
     GF2m,
@@ -87,6 +88,17 @@ def test_contexts_are_immutable_values():
         ctx.m = 3
     with pytest.raises(ValueError):
         ctx._replace(poly=0b100011001)  # x^8+x^4+x^3+1 is divisible by x+1
+
+
+def test_cached_tables_keep_a_bounded_number_of_fields():
+    # a loop over reduction polynomials must not keep every field's q-entry tables
+    caches = (trace_table, unit_inverses, trace_coordinates, reciprocal_sums)
+    for poly in irreducibles(10)[:20]:
+        ctx = GF2m(10, poly)
+        for table in caches:
+            table(ctx)
+    for table in caches:
+        assert table.cache_info().currsize <= 15, table.__name__
 
 
 def test_elements_and_units():

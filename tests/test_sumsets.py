@@ -75,6 +75,12 @@ def test_omega_set_validation():
         omega._replace(vectors=frozenset({4}))
     assert omega.with_zero(True).size == 3
     assert omega.with_zero(False) is omega
+    # the record keeps its own copy, so a vector it refuses cannot be added later
+    vectors = {1, 2}
+    omega = OmegaSet(3, vectors, False)
+    vectors.add(9)
+    assert omega.vectors == frozenset({1, 2}) and hash(omega) == hash(hand_set(3, (1, 2)))
+    assert check_sum_set(omega, 3) == check_sum_set(hand_set(3, (1, 2)), 3)
 
 
 def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
