@@ -76,7 +76,9 @@ def is_projective(code: BinaryLinearCode) -> bool:
 
 def griesmer_length(k: int, d: int) -> int:
     """Least n the Griesmer bound allows a binary [n, k, d] code: sum over i < k of ceil(d / 2^i)."""
-    return sum((d + (1 << i) - 1) >> i for i in range(k))
+    # for d >= 1 the terms from i = bit_length(d - 1) on are all 1: count them, do not sum them
+    ones = max(0, k - (d - 1).bit_length()) if d > 0 else 0
+    return sum((d + (1 << i) - 1) >> i for i in range(k - ones)) + ones
 
 
 def griesmer_classify(n: int, k: int, d: int) -> str:

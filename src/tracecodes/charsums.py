@@ -132,6 +132,8 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
 
 
 def _require_nonzero_pair(ctx: GF2m, a: FieldElement, b: FieldElement) -> None:
+    if not (isinstance(a, int) and isinstance(b, int)):  # 1.0 would pass the range check
+        raise TypeError(f"(a, b) = ({a!r}, {b!r}) is not a pair of ints")
     if not (0 <= a < ctx.size and 0 <= b < ctx.size):
         raise ValueError(f"(a, b) = ({a}, {b}) is not a pair of elements of GF(2^{ctx.m})")
     if a == 0 and b == 0:

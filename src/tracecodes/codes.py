@@ -8,15 +8,17 @@ with slope a; `slope_form` is the one place the three conditions are written, an
 coords(x*y) | coords(x) << m.  Codeword (a, b) evaluates trace(a*x*y + b*x)
 over the pairs and is a packed int (bit i = coordinate of pair i).  A
 family's weights come in O(q) from its character sums, each family sum
-counted over b by `sign_sums` (`hyperplane_distribution`); a lone code's
-come from the Walsh spectrum of its column counts, which `Spectrum` keeps
-for the projectivity and minimality verdicts too.
+counted over b from the size of its slope class alone, a class of more
+than two units refused (`hyperplane_distribution`); a lone code's come
+from the Walsh spectrum of its column counts, which `Spectrum` keeps for
+the projectivity and minimality verdicts too.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import groupby
+from math import comb
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -54,6 +56,8 @@ class BinaryLinearCode(_Code):
         top = 1 << n  # ValueError for a negative n
         rows = tuple(rows)  # a caller's list could change after the check
         for row in rows:
+            if not isinstance(row, int):  # 1.5 would pass the range check
+                raise TypeError(f"row {row!r} is not an int")
             if not 0 <= row < top:
                 raise ValueError(f"row {row} outside the {n}-bit range")
         return super().__new__(cls, n, rows)
@@ -84,49 +88,33 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
     """Length n and exact weight distribution of the family's code, in O(q).
 
     Codeword (a, b) has weight (2n - P - F)/4, with P the plain and F the
-    family character sum at (a, b).  Summed over y first, with (a_x, c) =
-    `slope_form` at x, F = q * sum over x in R_a = {x : a_x = a} of
-    (-1)^(trace(c) + trace(b*x)), counted over b by `sign_sums` for each R_a
-    of `slope_classes`, R_0 included (F = 0 where R_a is empty).  P is q(q - 1)
-    at (0, 0), -q at a = 0, b != 0 and 0 at a != 0, so n = q(q - 1 + F(0, 0)/q)/2.
+    family character sum at (a, b): F = q * sum over x in R_a of
+    (-1)^(trace(c) + trace(b*x)), R_a and trace(c) from `slope_classes`.
+    Two distinct units are independent over F_2, so over b the bits
+    trace(b*x) of s <= 2 units take each pattern q/2^s times: F/q = s - 2j
+    on comb(s, j)*q/2^s values of b, whatever the trace(c).  Three units may
+    be dependent, so a larger class raises AssertionError.  P is q(q - 1) at
+    (0, 0), -q at a = 0, b != 0 and 0 at a != 0, so n = q(q - 1 + F(0, 0)/q)/2.
     """
     q = ctx.size
     classes = slope_classes(ctx, family)
     f00 = sum(1 - 2 * t for _, t in classes.setdefault(0, []))  # F(0, 0)/q; a = 0 has P = -q
     n = q * (q - 1 + f00) // 2
-    # q >= 4 and 2n, P and F are multiples of q, so n/2 and every /4 are exact
-    wd: Counter[int] = Counter({n // 2: (q - len(classes)) * q})
+    sizes: Counter[tuple[bool, int]] = Counter({(False, 0): q - len(classes)})  # empty R_a
     for a, members in classes.items():
-        plain = 0 if a else -q
-        for total, count in sign_sums(ctx, members).items():
-            wd[(2 * n - plain - q * total) // 4] += count
+        if len(members) > 2:
+            raise AssertionError(f"slope {a} has {len(members)} units; counting needs at most two")
+        sizes[a == 0, len(members)] += 1
+    # q >= 4 and 2n, P and F are multiples of q, so every /4 and q/2^s is exact
+    wd: Counter[int] = Counter()
+    for (zero, s), classes_of_size in sizes.items():
+        for j in range(s + 1):  # P = -q at a = 0 and 0 elsewhere
+            wd[(2 * n + q * (zero - s + 2 * j)) // 4] += classes_of_size * comb(s, j) * q >> s
     wd[q * q // 4] -= 1  # (0, 0) has P = q(q - 1), not -q: move it from q^2/4 to 0
     wd[0] += 1
     if sum(wd.values()) != q * q:
         raise AssertionError(f"weight counts do not sum to q^2 = {q * q}")
     return n, {w: count for w, count in sorted(wd.items()) if count}
-
-
-def sign_sums(ctx: GF2m, members: Sequence[tuple[FieldElement, int]]) -> dict[int, int]:
-    """How many b give each value of the sum over (x, t) in members of (-1)^(t + trace(b*x)).
-
-    Over b the member bits trace(b*x) form the image of a linear map, the
-    span of their rows at b = x^j, and each point of it is hit q/|span| times.
-    """
-    coords = trace_coordinates(ctx)
-    span, full = {0}, 1 << len(members)
-    for j in range(ctx.m):
-        if len(span) == full:  # every sign pattern is reached; the other rows add nothing
-            break
-        row = sum((coords[x] >> j & 1) << i for i, (x, _) in enumerate(members))
-        if row not in span:
-            span |= {v ^ row for v in span}
-    target = sum(t << i for i, (_, t) in enumerate(members))
-    copies, size, sums = ctx.size // len(span), len(members), {}
-    for v in span:
-        total = size - 2 * (v ^ target).bit_count()
-        sums[total] = sums.get(total, 0) + copies
-    return sums
 
 
 def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[FieldElement, int]]]:

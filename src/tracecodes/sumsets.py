@@ -72,6 +72,8 @@ class OmegaSet(_PointSet):
         vectors = frozenset(vectors)  # a caller's set could change after the check
         top = 1 << ambient_dim
         for v in vectors:
+            if not isinstance(v, int):  # 1.0 would pass the range check
+                raise TypeError(f"vector {v!r} is not an int")
             if not 0 < v < top:
                 raise ValueError(f"vector {v} outside nonzero {ambient_dim}-bit range")
         return super().__new__(cls, ambient_dim, vectors, include_zero)
@@ -138,6 +140,8 @@ def _check_power_cost(s: int, size: int, dim: int, values: int, basis: str) -> N
 
     Each |T(u)^s| <= size^s, so each power takes at most s * bit_length(size) bits.
     """
+    if not isinstance(s, int):  # 3.0 would pass the range checks
+        raise TypeError(f"s must be an int, got {s!r}")
     if s < 1:
         raise ValueError("s must be at least 1")
     cost = values * s * size.bit_length()
@@ -197,6 +201,8 @@ def _power_line(powers: dict[int, int]) -> tuple[int, int] | None:
 
 
 def _check_odd_power(s: int) -> None:
+    if not isinstance(s, int):
+        raise TypeError(f"s must be an int, got {s!r}")
     if s <= 1 or s % 2 == 0:
         raise ValueError("s must be odd and greater than 1")
 

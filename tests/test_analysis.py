@@ -190,6 +190,12 @@ def test_griesmer_length_values():
     assert griesmer_length(4, 4) == 8
     assert griesmer_length(4, 5) == 11
     assert griesmer_length(4, 3) == 7
+    # the terms equal to 1 are counted, not summed: exact against the direct sum,
+    # and k = 10^12 needs no 10^12-bit shifts
+    for k in range(60):
+        for d in range(600):
+            assert griesmer_length(k, d) == sum(-(-d // (1 << i)) for i in range(k)), (k, d)
+    assert griesmer_length(10**12, 5) == 10**12 + 7
 
 
 def test_griesmer_classify():
@@ -323,12 +329,14 @@ def test_verify_triple_fallback_keeps_the_transform_guard(monkeypatch):
 
 
 def test_verify_rejects_a_rank_deficient_code(monkeypatch):
-    # only x = 1 keeps its y's: codewords trace(a*y + b) span m + 1 < 2m dimensions
-    monkeypatch.setattr(codes, "slope_form", lambda ctx, family, x: (0, int(x != 1)))
-    ctx = GF2m(3)
-    assert ctx.trace(1) == 1
-    with pytest.raises(ValueError, match=r"rank deficient \(k=6\)") as raised:
-        verify(1, 3)
+    # at m = 2, x = 1 and 2 have trace(c) = 1 and keep no y, and x = 3 keeps the two y
+    # with trace(3y) = 0: n = 2 columns, so rank at most 2 < 2m; slopes hold at most two units
+    forms = {1: (0, 2), 2: (0, 2), 3: (1, 0)}
+    monkeypatch.setattr(codes, "slope_form", lambda ctx, family, x: forms[x])
+    ctx = GF2m(2)
+    assert ctx.trace(2) == 1
+    with pytest.raises(ValueError, match=r"rank deficient \(k=4\)") as raised:
+        verify(1, 2)
     with pytest.raises(ValueError) as matrix_raised:
         is_projective(generator_matrix(ctx, enumerate_defining_set(ctx, 1)))
     assert str(raised.value) == str(matrix_raised.value)

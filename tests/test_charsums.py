@@ -92,6 +92,13 @@ def test_closed_forms_reject_zero_pair():
         for family in (1, 2, 3):
             with pytest.raises(ValueError):
                 family_char_sum_closed(ctx, family, a, b)
+    # and pairs that are not ints, which would pass the range check and return a value
+    for a, b in ((1.0, 0), (0, 1.0)):
+        with pytest.raises(TypeError):
+            plain_char_sum_closed(ctx, a, b)
+        for family in (1, 2, 3):
+            with pytest.raises(TypeError):
+                family_char_sum_closed(ctx, family, a, b)
 
 
 def test_family2_closed_form_rejects_even_m():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -33,12 +35,11 @@ from tracecodes.codes import (
     hyperplane_distribution,
     matrix_text,
     minimum_distance,
-    sign_sums,
     slope_classes,
     slope_form,
     weight_distribution,
 )
-from tracecodes.field import GF2m, trace_coordinates, unit_inverses
+from tracecodes.field import GF2m, trace_coordinates
 
 # exact distributions, checked against the closed forms elsewhere
 TABLE_ROWS = {
@@ -219,6 +220,9 @@ def test_binary_linear_code_is_its_length_and_rows():
     rows.append(0b1111111)
     assert code.rows == (0b011,) and hash(code) == hash(BinaryLinearCode(3, (0b011,)))
     assert weight_distribution(code) == {0: 1, 2: 1}
+    # a float row passes the range check, then fails in the transpose
+    with pytest.raises(TypeError):
+        BinaryLinearCode(3, [1.5])
 
 
 def test_binary_linear_code_refuses_rows_it_cannot_represent():
@@ -292,64 +296,73 @@ def test_hyperplane_distribution_matches_spectrum_route():
                 assert len(set(trace_coordinates(ctx))) == ctx.size
 
 
+def test_slope_classes_hold_at_most_two_units():
+    # the lemma `hyperplane_distribution` counts by: R_0 = {1}, and every other class
+    # is two units x, 1/x (families 1, 2) or one unit x = a + 1 (family 3)
+    for m in range(2, 13):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            q = ctx.size
+            for family in (1, 2, 3):
+                classes = slope_classes(ctx, family)
+                assert [x for x, _ in classes.pop(0)] == [1], (family, m, poly)
+                sizes = Counter(len(members) for members in classes.values())
+                want = {2: q // 2 - 1} if family in (1, 2) else {1: q - 2}
+                assert sizes == want, (family, m, poly)
+
+
+def slope_form_of(forms):
+    return lambda ctx, family, x: forms[x]
+
+
 def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch):
-    # seeded random forms: many x with u = a0 * x make R_a0 large and linearly
-    # dependent, u = 0 comes with both trace(c) values, and some codes are
-    # rank deficient; both routes read the one patched form
+    # seeded random slope forms with at most two units per slope, R_0 often
+    # among them with both trace(c) values; both routes read the one patched form
     rng = random.Random(2024)
-    dependent = 0
     for trial in range(120):
         m = 2 + trial % 4
         ctx = GF2m(m, rng.choice((0, largest_irreducible(m))))
-        a0 = rng.randrange(1, ctx.size)
-        forms, slopes, inverses = {}, {}, unit_inverses(ctx)
+        units, forms = Counter(), {}
         for x in ctx.units():
-            draw = rng.random()
-            u = ctx.mul(a0, x) if draw < 0.4 else 0 if draw < 0.55 else rng.randrange(ctx.size)
-            forms[x] = (u, rng.randrange(ctx.size))
-            slopes[x] = (ctx.mul(u, inverses[x]), forms[x][1])  # the slope form (u * x^-1, c)
-        monkeypatch.setattr(codes_module, "slope_form", lambda ctx, family, x: slopes[x])
+            free = [a for a in ctx.elements() if units[a] < 2]
+            a = 0 if units[0] < 2 and rng.random() < 0.3 else rng.choice(free)
+            units[a] += 1
+            forms[x] = (a, rng.randrange(ctx.size))
+        monkeypatch.setattr(codes_module, "slope_form", slope_form_of(forms))
         spectrum = family_spectrum(ctx, 1)
         assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), trial
-        special = [x for x, (u, _) in forms.items() if u == ctx.mul(a0, x) and u]
-        dependent += matrix_rank(special, m) < len(special)
-    assert dependent > 60
 
 
-def test_sign_sums_match_a_direct_count_over_every_b():
-    def direct(ctx, members):
-        return Counter(
-            sum((-1) ** (t + ctx.trace(ctx.mul(b, x))) for x, t in members) for b in ctx.elements()
-        )
+def test_hyperplane_distribution_matches_every_slope_form_at_m2(monkeypatch):
+    # each unit of GF(4) takes one of 4 slopes and c in {0, e}, trace(e) = 1:
+    # 8^3 = 512 forms, less the 4 * 2^3 that put all three units on one slope
+    ctx = GF2m(2)
+    e = next(c for c in ctx.elements() if ctx.trace(c))
+    choices = [(a, c) for a in ctx.elements() for c in (0, e)]
+    checked = 0
+    for picks in itertools.product(choices, repeat=3):
+        if len({a for a, _ in picks}) == 1:
+            continue
+        monkeypatch.setattr(codes_module, "slope_form", slope_form_of(dict(zip(ctx.units(), picks))))
+        spectrum = family_spectrum(ctx, 1)
+        assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), picks
+        checked += 1
+    assert checked == 480
 
-    for m in range(2, 7):
-        for poly in (0, largest_irreducible(m)):
-            ctx = GF2m(m, poly)
-            units = list(ctx.units())
-            lists = [
-                [],
-                [(1, 0)],
-                [(ctx.size - 1, 1)],
-                [(1, 0), (2, 1), (3, 1)],  # coords(3) = coords(1) ^ coords(2)
-                [(5 % ctx.size, 0), (5 % ctx.size, 1)],
-                [(x, t) for x in units for t in (0, 1)],
-                [(x, x & 1) for x in units],
-            ]
-            for family in (1, 2, 3):
-                lists.extend(slope_classes(ctx, family).values())
-            for members in lists:
-                assert sign_sums(ctx, members) == direct(ctx, members), (m, poly, members)
+
+def test_hyperplane_distribution_refuses_a_class_of_three_units(monkeypatch):
+    # x = 1, 2, 3 share slope 1 in GF(8), and 1 ^ 2 = 3: three units may be dependent
+    forms = {x: (1 if x < 4 else x, 0) for x in range(1, 8)}
+    monkeypatch.setattr(codes_module, "slope_form", slope_form_of(forms))
+    with pytest.raises(AssertionError, match="slope 1 has 3 units"):
+        hyperplane_distribution(GF2m(3), 1)
 
 
 def test_hyperplane_distribution_checks_its_total(monkeypatch):
-    def drop_one_b(ctx, members):
-        sums = sign_sums(ctx, members)
-        sums[next(iter(sums))] -= 1
-        return sums
-
-    monkeypatch.setattr(codes_module, "sign_sums", drop_one_b)
+    # q/2 values of b too many for every class of one unit: family 3 has only those
+    monkeypatch.setattr(codes_module, "comb", lambda s, j: comb(s, j) + (s == 1 and j == 0))
     with pytest.raises(AssertionError, match=r"do not sum to q\^2 = 64"):
-        hyperplane_distribution(GF2m(3), 1)
+        hyperplane_distribution(GF2m(3), 3)
 
 
 def bitwise_columns(code):

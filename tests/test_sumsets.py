@@ -81,6 +81,14 @@ def test_omega_set_validation():
     vectors.add(9)
     assert omega.vectors == frozenset({1, 2}) and hash(omega) == hash(hand_set(3, (1, 2)))
     assert check_sum_set(omega, 3) == check_sum_set(hand_set(3, (1, 2)), 3)
+    # a float passes the range checks, then fails inside the transform
+    with pytest.raises(TypeError):
+        OmegaSet(2, [1.0], False)
+    for call in (check_sum_set, representation_counts):
+        with pytest.raises(TypeError):
+            call(omega, 3.0)
+    with pytest.raises(TypeError):
+        counted_sum_sets(code_column_counts(GF2m(3), 1), 3.0)
 
 
 def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
@@ -312,11 +320,12 @@ def test_code_column_route_checks_the_conditions_of_its_identity(monkeypatch):
     with pytest.raises(AssertionError, match="zero or repeated column"):
         code_column_counts(GF2m(3), 1)
     monkeypatch.undo()
-    # only x = 1 keeps its y's: a code of rank m + 1 < 2m, so t(u) = n - 2 wt(u) misses
-    # the u != 0 of weight 0
-    monkeypatch.setattr(codes, "slope_form", lambda ctx, family, x: (0, int(x != 1)))
-    with pytest.raises(AssertionError, match="rank deficient"):
-        code_column_counts(GF2m(3), 1)
+    # a code of rank 3 < 2m at m = 2 (see test_verify_rejects_a_rank_deficient_code), so
+    # t(u) = n - 2 wt(u) misses the u != 0 of weight 0
+    forms = {1: (0, 2), 2: (0, 2), 3: (1, 0)}
+    monkeypatch.setattr(codes, "slope_form", lambda ctx, family, x: forms[x])
+    with pytest.raises(AssertionError, match="family 1 code at m = 2 is rank deficient"):
+        code_column_counts(GF2m(2), 1)
 
 
 def test_paper_column_sets_from_counts_match_the_transform_route(transform_calls):
