@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .walsh import TooLargeError
 
@@ -25,9 +25,6 @@ if TYPE_CHECKING:
     from .analysis import VerificationReport
     from .charsums import CharSumValue
     from .codes import WeightDistribution
-
-# `sumsets.VARIANTS`, spelled here so that building the parser loads no `sumsets`
-SUMSET_VARIANTS = ("paper-column", "code-column")
 
 
 def canonical_json(obj: object) -> str:
@@ -47,17 +44,24 @@ def enumerator_string(wd: WeightDistribution) -> str:
     return " + ".join(terms) or "0"
 
 
+def _to_devnull(stream: TextIO) -> None:
+    """Point the stream's fd at devnull, so that what is still buffered goes there at shutdown."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if not args.out:
         try:
             print(text)
             sys.stdout.flush()  # here, not at shutdown, where a closed pipe would exit 1
-        except BrokenPipeError as exc:
-            # the reader left; what is still buffered goes to devnull at shutdown
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
-            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        except BrokenPipeError as exc:  # the reader left
+            _to_devnull(sys.stdout)
+            try:
+                print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+            except OSError:  # stderr is the same closed pipe (`2>&1 | head -1`)
+                _to_devnull(sys.stderr)
             raise SystemExit(2) from exc
         return
     try:
@@ -206,7 +210,7 @@ def _require_printable_counts(size: int, s: int) -> None:
 
 
 def _cmd_sumset(args: argparse.Namespace) -> int:
-    """Decide each requested point set by counting, with no vectors and no transform.
+    """Decide each counted point set, with and without zero, with no vectors and no transform.
 
     Every set's printed counts are guarded before any set is decided.  Text
     names why a set is not a sum set: the values of t, the transform of its
@@ -220,19 +224,14 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
         print("error: family-2 point sets are built for odd m only", file=sys.stderr)
         return 2
     ctx = GF2m(args.m)
-    variants = list(SUMSET_VARIANTS) if args.variant == "both" else [args.variant]
-    chosen = {"with": (True,), "without": (False,), "both": (False, True)}.get(args.zero)
-    groups = []  # (variant, counted set, zero flags)
-    for variant in variants:
-        counted = COUNTED_VARIANTS[variant](ctx, args.family)
-        groups.append((variant, counted, chosen or (counted.zero_as_built,)))
-    for _, counted, flags in groups:
-        for flag in flags:
-            _require_printable_counts(counted.members + flag, args.s)
+    sets = [(variant, count(ctx, args.family)) for variant, count in COUNTED_VARIANTS.items()]
+    for _, counted in sets:
+        for zero in (0, 1):
+            _require_printable_counts(counted.members + zero, args.s)
     decided = [
         (report, variant, counted)
-        for variant, counted, flags in groups
-        for report in counted_sum_sets(counted, args.s, flags)
+        for variant, counted in sets
+        for report in counted_sum_sets(counted, args.s)
     ]
     any_sum_set = any(r.is_sum_set for r, _, _ in decided)
     if args.format == "json":
@@ -342,13 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", type=int, choices=(1, 2), required=True)
     p.add_argument("--m", type=int, choices=tuple(range(2, 9)), required=True)
     p.add_argument("--s", type=_odd_exponent, default=3)
-    p.add_argument("--variant", choices=SUMSET_VARIANTS + ("both",), default="both")
-    p.add_argument(
-        "--zero",
-        choices=("as-built", "with", "without", "both"),
-        default="both",
-        help="whether the zero vector is included as a member",
-    )
     add_common(p)
     p.set_defaults(func=_cmd_sumset)
 

@@ -222,29 +222,27 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     values = min(1 << omega.ambient_dim, members + 1)
     _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
     histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
-    counted = CountedSet(omega.ambient_dim, members, omega.include_zero, histogram)
+    counted = CountedSet(omega.ambient_dim, members, histogram)
     return counted_sum_sets(counted, s, (omega.include_zero,))[0]
 
 
 class CountedSet(NamedTuple):
-    """A point set known by counting: its K, its nonzero members, whether zero
-    is a member as built, and the histogram of t over u != 0."""
+    """A point set known by counting: its K, its nonzero members and the
+    histogram of t over u != 0."""
 
     dim: int
     members: int
-    zero_as_built: bool
     histogram: dict[int, int]
 
 
 def code_column_counts(ctx: GF2m, family: int) -> CountedSet:
     """The family's code-column set from the code's weight distribution.
 
-    The set is the code's n generator columns in F_2^(2m), with zero not a
-    member as built.  When they are distinct and nonzero and the code has
-    full rank, t(u) = n - 2 wt(u) at every u and only u = 0 has weight 0, so
-    the histogram of t over u != 0 is {n - 2w: A_w} over the nonzero
-    weights w of `hyperplane_distribution`, in O(q); AssertionError if
-    either condition fails.
+    The set is the code's n generator columns in F_2^(2m).  When they are
+    distinct and nonzero and the code has full rank, t(u) = n - 2 wt(u) at
+    every u and only u = 0 has weight 0, so the histogram of t over u != 0
+    is {n - 2w: A_w} over the nonzero weights w of `hyperplane_distribution`,
+    in O(q); AssertionError if either condition fails.
     """
     _check_family(ctx, family)
     n, wd = hyperplane_distribution(ctx, family)
@@ -253,7 +251,7 @@ def code_column_counts(ctx: GF2m, family: int) -> CountedSet:
     if not distinct_nonzero_columns(ctx):
         raise AssertionError(f"family {family} code at m = {ctx.m} has a zero or repeated column")
     histogram = {n - 2 * w: count for w, count in wd.items() if w}
-    return CountedSet(2 * ctx.m, n, False, histogram)
+    return CountedSet(2 * ctx.m, n, histogram)
 
 
 def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
@@ -269,7 +267,7 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
     (q/2)([alpha x^2 = beta] + (-1)^trace(c_x) [alpha x^2 + u_x = beta]):
     x votes for two betas.  x = 1 has u_x = 0: its sum is q [alpha = beta]
     for family 1; for family 2 it has no y at odd m.
-    - Family 1: every pair (x, 0) maps to zero, a member as built, so
+    - Family 1: every pair (x, 0) maps to zero, so
       t = (q/2) votes + q [alpha = beta] - (q - 1).
     - Family 2: no pair maps to zero.  At alpha = beta in {0, 1} every x
       votes, with sign trace(beta x), so t = (q/2)(q [gamma = beta] - 1 -
@@ -310,7 +308,7 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
     members = half * (q - 2) + (family == 1)
     histogram[members] -= 1
     dim = 2 * ctx.m if family == 1 else 3 * ctx.m
-    return CountedSet(dim, members, family == 1, +histogram)
+    return CountedSet(dim, members, +histogram)
 
 
 def counted_sum_sets(
@@ -331,7 +329,7 @@ def counted_sum_sets(
     count at zero is 2^-K * sum of T(u)^s over the histogram of t.
     """
     _check_odd_power(s)
-    dim, members, _, histogram = counted
+    dim, members, histogram = counted
     values = len(histogram)
     nonzero = (1 << dim) - 1
     reports = []

@@ -14,7 +14,7 @@ import pytest
 
 from oracles import charsums_output, largest_irreducible
 from tracecodes import charsums, field, sumsets
-from tracecodes.cli import SUMSET_VARIANTS, enumerator_string, main
+from tracecodes.cli import enumerator_string, main
 
 F1_M2_MATRIX = ["00110000", "01100101", "00001111", "11111100"]
 
@@ -156,7 +156,6 @@ def test_cli_loads_only_the_modules_a_subcommand_runs():
     assert "tracecodes.cli" in at_import and "tracecodes.analysis" in after_verify
     for module in (at_import, after_verify):
         assert not {"tracecodes.sumsets", "tracecodes.charsums"} & set(module), module
-    assert SUMSET_VARIANTS == sumsets.VARIANTS
 
 
 def fresh_python(script: str, *args: str) -> str:
@@ -174,6 +173,16 @@ def fresh_python(script: str, *args: str) -> str:
     return proc.stdout
 
 
+# the package modules each subcommand loads besides `tracecodes`, codes, field and walsh
+SUBCOMMAND_RUNS = {
+    "construct": (),
+    "verify": ("analysis",),
+    "charsums": ("charsums",),
+    "sumset": ("sumsets",),
+    "sweep": ("analysis",),
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -186,7 +195,8 @@ def fresh_python(script: str, *args: str) -> str:
 )
 def test_subcommands_start_without_dataclasses_or_inspect(argv):
     # each module that `dataclasses` pulls in (inspect, ast, dis, tokenize, ...)
-    # is compiled or loaded at the start of every CLI process
+    # is compiled or loaded at the start of every CLI process, and so is each
+    # package module, from source when no bytecode cache is written
     script = (
         "import json, runpy, sys\n"
         "before = set(sys.modules)\n"
@@ -200,28 +210,37 @@ def test_subcommands_start_without_dataclasses_or_inspect(argv):
     added = set(json.loads(fresh_python(script, *argv.split()).splitlines()[-1]))
     assert "tracecodes.field" in added  # the subcommand ran
     assert not {"dataclasses", "inspect"} & added, sorted(added)
+    package = {m for m in added if m.split(".")[0] == "tracecodes"}
+    runs = ("codes", "field", "walsh", *SUBCOMMAND_RUNS[argv.split()[0]])
+    assert package == {"tracecodes"} | {f"tracecodes.{m}" for m in runs}, sorted(package)
 
 
-def test_sumset_exit_codes(capsys):
+def test_sumset_exit_codes(capsys, monkeypatch):
     rc, out, _ = run(capsys, "sumset", "--family", "1", "--m", "2", "--s", "3")
     assert rc == 0
     assert "sum set (count 40 on members, 24 outside, 24 at zero)" in out
-    rc, out, _ = run(capsys, "sumset", "--family", "1", "--m", "2", "--variant", "paper-column")
+    # exit 1 when no reported set is a sum set: here, only the paper-column set is reported
+    paper_column = {"paper-column": sumsets.COUNTED_VARIANTS["paper-column"]}
+    monkeypatch.setattr(sumsets, "COUNTED_VARIANTS", paper_column)
+    rc, out, _ = run(capsys, "sumset", "--family", "1", "--m", "2")
     assert rc == 1
-    assert "NOT a sum set" in out
+    assert sumset_verdicts("text", out) == [False, False]
+
+
+def sumset_report(out: str, variant: str, include_zero: bool) -> dict:
+    """The one JSON report of `sumset` on the given set and zero flag."""
+    (report,) = [
+        r for r in json.loads(out)["reports"]
+        if (r["variant"], r["include_zero"]) == (variant, include_zero)
+    ]
+    return report
 
 
 def test_sumset_json(capsys):
-    rc, out, _ = run(
-        capsys,
-        "sumset", "--family", "2", "--m", "3", "--s", "5",
-        "--variant", "code-column", "--zero", "without", "--format", "json",
-    )
+    rc, out, _ = run(capsys, "sumset", "--family", "2", "--m", "3", "--s", "5", "--format", "json")
     assert rc == 0
-    payload = json.loads(out)
-    assert payload["any_sum_set"] is True
-    assert len(payload["reports"]) == 1
-    report = payload["reports"][0]
+    assert json.loads(out)["any_sum_set"] is True
+    report = sumset_report(out, "code-column", False)
     assert report["sigma0"] == 126976
     assert report["sigma1"] == 122880
     assert report["count_at_zero"] == 122880
@@ -234,7 +253,7 @@ def test_sumset_json_report_shape(capsys):
     assert rc == 0
     reports = json.loads(out)["reports"]
     assert [(r["variant"], r["include_zero"]) for r in reports] == [
-        (variant, zero) for variant in SUMSET_VARIANTS for zero in (False, True)
+        (variant, zero) for variant in sumsets.VARIANTS for zero in (False, True)
     ]
     for report in reports:
         assert set(report) == {
@@ -251,37 +270,30 @@ def test_sumset_json_report_shape(capsys):
         assert (report["family"], report["m"], report["s"]) == (1, 2, 3)
 
 
-# sha256 over (exit code, stdout, stderr) of `sumset --family f --m m --s s --variant v
-# --zero z --format fmt` for s in (3, 5), v in (paper-column, code-column, both) and
-# z in (as-built, with, without, both), nested in that order; the JSON entries were
-# recorded from the route that decided each set from its full vector of counts, and
-# the text entries differ from that route's only in each "NOT a sum set" reason
+# sha256 over (exit code, stdout, stderr) of `sumset --family f --m m --s s --format fmt`
+# for s in (3, 5), in that order, recorded when `--variant` and `--zero` still existed
+# and defaulted to reporting every set, so the output is unchanged by their removal
 SUMSET_SHA256 = {
-    (1, 3, "text"): "fd512e338db8ceae4420f9e88e2344712fc02c7037a88ef09e79ffba5407568a",
-    (1, 3, "json"): "d973c8e92d18e76aa0ed8c920b30cfb2ec1aba1e3fac103cf72925d6a7e9ece3",
-    (1, 4, "text"): "5a07e55f2b27d27844b799d4996b5c1f2117937e1c38f381be44f151fd80329e",
-    (1, 4, "json"): "ab8a1159dd88f50d81de3401b290650d4f915bbea3756734ae5d9e74741345bf",
-    (1, 5, "text"): "625f1af665bb1d8073db2b33b749e940d263a0abd098c45adf8077bd297f406b",
-    (1, 5, "json"): "8b280f830f4ab1ab594d1ae7afe7fd41e38d4b99d54283128257dd0d82c1119c",
-    (2, 3, "text"): "3789b83abf868ee18ca0d2ffb6288ed185ea7febe57618d3cd8c92eb7f1c42ab",
-    (2, 3, "json"): "e228bdf48e6dcd7ab55932aa8243c7c0f2fc5f01a96e69d5aa19b2c3da39dbf6",
-    (2, 5, "text"): "982ffe639b8281d8c2e534a1fab4c454fec2486810d84685db49588bd1ee4639",
-    (2, 5, "json"): "6d1d994ed4820d2016239ca449f21fc6639329c6dd992437562372009b1e8704",
+    (1, 3, "text"): "d4c82f8e3c7814b2fceea241d5c27552b280e18d5586bd64283d7d533dc48869",
+    (1, 3, "json"): "da8c314c77f7d7447be26a94a56f5b85fac8ae1664708ee2a7424849110f161c",
+    (1, 4, "text"): "bb642b8faf086de95ee72f7dbf3e289b950c5f7003a03fcb69b43d9eeadc12b8",
+    (1, 4, "json"): "88b0102bb70705aa5b5c611e731eec43b7319cd92143dbc7af742b9242dc7ef0",
+    (1, 5, "text"): "e422a7cd2f7f450f434cce38bf5a5842d6f9639dd25612a17fdcea7512335e12",
+    (1, 5, "json"): "40050b9f7734e2a644e66463beb78456aa6c007cc0512cdca18622b953757cf1",
+    (2, 3, "text"): "0ba436c55c95eb54ddc0603c83a89e1dc2e8d679243702c85b39ca2f5c57ffbc",
+    (2, 3, "json"): "ff7ff6f1192cb8dd0f1d56cd23212684341611f2c4a206bef57d4097a3f1d19c",
+    (2, 5, "text"): "bb0eff9f0c5736e8eb8d89b2d5b86a5f2dbd0fefd5e91192187ab53941eea1ca",
+    (2, 5, "json"): "71d9494d5b3e2eb4064fd5835a847ba1110ebe245bd5b50735c223f57509474b",
 }
 
 
 def test_sumset_output_pinned_at_small_m(capsys):
     for (family, m, fmt), digest in SUMSET_SHA256.items():
         h = hashlib.sha256()
-        for variant in ("paper-column", "code-column", "both"):
-            for zero in ("as-built", "with", "without", "both"):
-                for s in ("3", "5"):
-                    rc, out, err = run(
-                        capsys,
-                        "sumset", "--family", str(family), "--m", str(m), "--s", s,
-                        "--variant", variant, "--zero", zero, "--format", fmt,
-                    )
-                    h.update(f"{rc}\n{out}\n{err}\n".encode())
+        for s in ("3", "5"):
+            argv = ("sumset", "--family", str(family), "--m", str(m), "--s", s, "--format", fmt)
+            rc, out, err = run(capsys, *argv)
+            h.update(f"{rc}\n{out}\n{err}\n".encode())
         assert h.hexdigest() == digest, (family, m, fmt)
 
 
@@ -297,11 +309,12 @@ def sumset_verdicts(fmt: str, out: str) -> list[bool]:
 def test_sumset_json_decides_the_paper_column_set_past_the_transform_guard(capsys):
     # K = 21, past the transform guard: both formats decide the set by counting
     for fmt in ("text", "json"):
-        argv = ("sumset", "--family", "2", "--m", "7", "--variant", "paper-column", "--format", fmt)
+        argv = ("sumset", "--family", "2", "--m", "7", "--format", fmt)
         rc, out, err = run(capsys, *argv)
-        assert (rc, err) == (1, ""), fmt
-        assert sumset_verdicts(fmt, out) == [False, False], fmt
-    assert json.loads(out)["reports"][1]["include_zero"] is True
+        assert (rc, err) == (0, ""), fmt
+        assert sumset_verdicts(fmt, out)[:2] == [False, False], fmt
+    for zero in (False, True):
+        assert sumset_report(out, "paper-column", zero)["is_sum_set"] is False
 
 
 def test_sumset_text_and_json_agree(capsys):
@@ -318,8 +331,9 @@ def test_sumset_text_and_json_agree(capsys):
 
 
 def test_sumset_too_large_exits_3(capsys):
-    # the K = 21 set is decided by counting at any size; only counts too long to print are refused
-    argv = ("sumset", "--family", "2", "--m", "7", "--variant", "paper-column", "--s", "100001")
+    # the K = 21 set is decided by counting at any size; only counts too long to print are
+    # refused, and the first set guarded is the paper-column one without zero
+    argv = ("sumset", "--family", "2", "--m", "7", "--s", "100001")
     for fmt in ("text", "json"):
         rc, out, err = run(capsys, *argv, "--format", fmt)
         assert (rc, out) == (3, ""), fmt
@@ -370,10 +384,17 @@ def test_sumset_rejects_even_s(capsys):
 
 
 def test_unknown_choice_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["construct", "--family", "5", "--m", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    cases = [
+        "construct --family 5 --m 2",
+        # `sumset` always reports both sets, each with and without zero
+        "sumset --family 1 --m 2 --variant code-column",
+        "sumset --family 1 --m 2 --zero with",
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv.split())
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
 
 
 def test_sweep_exit_codes(capsys):
@@ -433,24 +454,34 @@ def test_out_flag_write_failure_is_usage_error(tmp_path, capsys):
     assert not target.parent.exists()
 
 
-@pytest.mark.parametrize("argv", ["charsums --m 6", "verify --family 1 --m 3 --format json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "charsums --m 6",
+        "verify --family 1 --m 3 --format json",
+        # stderr on the same closed pipe, so the error message cannot be written either
+        "charsums --m 6 2>&1",
+    ],
+)
 def test_closed_stdout_is_usage_error(argv):
     # the pipe's read end is closed before the process starts, so every write fails;
     # exit 1 would read as a failed claim
+    same_pipe = argv.endswith(" 2>&1")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "tracecodes.cli", *argv.split()],
+            [sys.executable, "-m", "tracecodes.cli", *argv.removesuffix(" 2>&1").split()],
             env={**os.environ, "PYTHONPATH": path},
             stdout=write_end,
-            stderr=subprocess.PIPE,
+            stderr=write_end if same_pipe else subprocess.PIPE,
             text=True,
             timeout=60,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: "), proc.stderr
+    if not same_pipe:
+        assert "Traceback" not in proc.stderr and proc.stderr.startswith("error: "), proc.stderr
