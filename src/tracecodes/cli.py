@@ -55,8 +55,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
     if not args.out:
         try:
             print(text)
-            sys.stdout.flush()  # here, not at shutdown, where a closed pipe would exit 1
-        except BrokenPipeError as exc:  # the reader left
+            sys.stdout.flush()  # here, not at shutdown, where a failed write would exit 1
+        except OSError as exc:  # the reader left, or the device is full
             _to_devnull(sys.stdout)
             try:
                 print(f"error: cannot write to stdout: {exc}", file=sys.stderr)

@@ -90,11 +90,10 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
     Codeword (a, b) has weight (2n - P - F)/4, with P the plain and F the
     family character sum at (a, b): F = q * sum over x in R_a of
     (-1)^(trace(c) + trace(b*x)), R_a and trace(c) from `slope_classes`.
-    Two distinct units are independent over F_2, so over b the bits
-    trace(b*x) of s <= 2 units take each pattern q/2^s times: F/q = s - 2j
-    on comb(s, j)*q/2^s values of b, whatever the trace(c).  Three units may
-    be dependent, so a larger class raises AssertionError.  P is q(q - 1) at
-    (0, 0), -q at a = 0, b != 0 and 0 at a != 0, so n = q(q - 1 + F(0, 0)/q)/2.
+    Over b, F/q is a sum of |R_a| signs counted by `sign_sum_counts` when
+    |R_a| <= 2, whatever the trace(c).  Three units may be dependent, so a
+    larger class raises AssertionError.  P is q(q - 1) at (0, 0), -q at
+    a = 0, b != 0 and 0 at a != 0, so n = q(q - 1 + F(0, 0)/q)/2.
     """
     q = ctx.size
     classes = slope_classes(ctx, family)
@@ -108,13 +107,23 @@ def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribu
     # q >= 4 and 2n, P and F are multiples of q, so every /4 and q/2^s is exact
     wd: Counter[int] = Counter()
     for (zero, s), classes_of_size in sizes.items():
-        for j in range(s + 1):  # P = -q at a = 0 and 0 elsewhere
-            wd[(2 * n + q * (zero - s + 2 * j)) // 4] += classes_of_size * comb(s, j) * q >> s
+        for f, count in sign_sum_counts(s, q).items():  # F/q = f; P = -q at a = 0 and 0 elsewhere
+            wd[(2 * n + q * (zero - f)) // 4] += classes_of_size * count
     wd[q * q // 4] -= 1  # (0, 0) has P = q(q - 1), not -q: move it from q^2/4 to 0
     wd[0] += 1
     if sum(wd.values()) != q * q:
         raise AssertionError(f"weight counts do not sum to q^2 = {q * q}")
     return n, {w: count for w, count in sorted(wd.items()) if count}
+
+
+def sign_sum_counts(s: int, q: int) -> dict[int, int]:
+    """How many of q inputs give each sum of s independent +-1 signs: {s - 2j: comb(s, j)*q/2^s}.
+
+    The signs are (-1)^trace(b*x_i) over the q elements b, for s units x_i
+    independent over F_2 (any two distinct units are), so each of the 2^s
+    sign patterns is taken q/2^s times; s <= m.
+    """
+    return {s - 2 * j: comb(s, j) * q >> s for j in range(s + 1)}
 
 
 def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[FieldElement, int]]]:
@@ -250,6 +259,4 @@ def minimum_distance(wd: WeightDistribution) -> int:
 
 def matrix_text(code: BinaryLinearCode) -> str:
     """Plain-text export: one row per line, '0'/'1' characters, column 0 first."""
-    return "\n".join(
-        "".join("1" if (row >> i) & 1 else "0" for i in range(code.n)) for row in code.rows
-    )
+    return "\n".join(format(row, f"0{code.n}b")[::-1] for row in code.rows)

@@ -18,7 +18,7 @@ no inverse.  A family's two sets need no vectors and no transform:
 `code_column_counts` reads the histogram of the code-column set, the
 distinct nonzero generator columns of a code with n columns, off the
 code's weight distribution, t(u) = n - 2 wt(u) (Calderbank-Kantor), and
-`paper_column_counts` counts that of the paper-column set per x.
+`paper_column_counts` counts that of the paper-column set from its vote cells.
 `representation_counts` gives the full vector of counts by transform.
 """
 
@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .codes import (
     defining_columns,
@@ -36,6 +35,7 @@ from .codes import (
     enumerate_defining_set,
     hyperplane_distribution,
     paper_covers,
+    sign_sum_counts,
     slope_form,
 )
 from .field import GF2m, mul_row, trace_coordinates
@@ -48,11 +48,6 @@ class _PointSet(NamedTuple):
     ambient_dim: int
     vectors: frozenset[int]
     include_zero: bool
-
-
-def _check_zero_flag(include_zero: bool) -> None:
-    if not isinstance(include_zero, bool):  # an int flag would be counted as that many zeros
-        raise TypeError(f"include_zero must be a bool, got {include_zero!r}")
 
 
 class OmegaSet(_PointSet):
@@ -68,7 +63,8 @@ class OmegaSet(_PointSet):
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)
-        _check_zero_flag(include_zero)
+        if not isinstance(include_zero, bool):  # an int flag would be counted as that many zeros
+            raise TypeError(f"include_zero must be a bool, got {include_zero!r}")
         vectors = frozenset(vectors)  # a caller's set could change after the check
         top = 1 << ambient_dim
         for v in vectors:
@@ -212,7 +208,7 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
 
     s must be odd and greater than 1.  It runs one forward transform, of the
     nonzero members, and no inverse, and decides the histogram of that
-    transform over u != 0 with `counted_sum_sets`.  The power guard counts
+    transform over u != 0 as `counted_sum_sets` does.  The power guard counts
     the values of t before the transform: they lie in
     [-|nonzero members|, |nonzero members|] and share one parity, so there
     are at most min(2^K, |nonzero members| + 1) of them.
@@ -223,7 +219,7 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
     histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
     counted = CountedSet(omega.ambient_dim, members, histogram)
-    return counted_sum_sets(counted, s, (omega.include_zero,))[0]
+    return _counted_report(counted, s, omega.include_zero)
 
 
 class CountedSet(NamedTuple):
@@ -255,7 +251,7 @@ def code_column_counts(ctx: GF2m, family: int) -> CountedSet:
 
 
 def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
-    """The family's paper-column set counted per x, with no vectors and no transform.
+    """The family's paper-column set counted from its vote cells, with no vectors or transform.
 
     A message, its m-bit parts read as field elements (alpha, beta), or
     (alpha, gamma, beta) for family 2, takes the value
@@ -264,57 +260,48 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
     (family 2), and `distinct_nonzero_columns` must hold, so that distinct
     pairs with y != 0 have distinct nonzero images; AssertionError
     otherwise.  For x not in {0, 1} the sum over the y of x is
-    (q/2)([alpha x^2 = beta] + (-1)^trace(c_x) [alpha x^2 + u_x = beta]):
-    x votes for two betas.  x = 1 has u_x = 0: its sum is q [alpha = beta]
-    for family 1; for family 2 it has no y at odd m.
+    (q/2)([alpha x^2 = beta] + (-1)^trace(c_x) [(alpha + 1) x^2 = beta + 1]):
+    x votes in cell (alpha, beta) when either holds, never both.  x = 1 has
+    u_x = 0: its sum is q [alpha = beta] for family 1; for family 2 it has no
+    y at odd m.  Squaring is a bijection, so every x votes in the two cells
+    alpha = beta in {0, 1}; no x in the q cells (0, 1), (1, 0) and
+    alpha = beta not in {0, 1}; one x in 4(q - 2) cells and two in
+    (q - 2)(q - 3).  The histogram depends only on q:
     - Family 1: every pair (x, 0) maps to zero, so
       t = (q/2) votes + q [alpha = beta] - (q - 1).
-    - Family 2: no pair maps to zero.  At alpha = beta in {0, 1} every x
-      votes, with sign trace(beta x), so t = (q/2)(q [gamma = beta] - 1 -
-      (-1)^trace(gamma + beta)).  Elsewhere at most two distinct x vote,
-      and over gamma their signs take each pattern q / 2^votes times.
-    Squaring is a bijection, so for alpha not in {0, 1} the votes depend on
-    beta only through beta in {0, 1, alpha}: that histogram is counted once,
-    at alpha = 2, and weighted q - 2.  O(q) in all.
+    - Family 2: no pair maps to zero.  In an all-vote cell x votes with sign
+      (-1)^trace((gamma + beta) x), so t = (q/2)(q [gamma = beta] - 1 -
+      (-1)^trace(gamma + beta)).  In the others each of at most two distinct
+      x votes with sign (-1)^trace(gamma x) times a constant, so t = (q/2) f
+      with f counted over gamma by `sign_sum_counts`.
     """
     _check_family(ctx, family)
     if not distinct_nonzero_columns(ctx):
         raise AssertionError(f"trace coordinates at m = {ctx.m} are not a bijection")
-    q, half = ctx.size, ctx.size >> 1
-    squares = {}  # u_x = x^2 + 1 -> x^2, for the x not in {0, 1}
     for x in ctx.units():
         a, c = slope_form(ctx, family, x)
-        u, xx = ctx.mul(a, x), ctx.mul(x, x)
-        if (u, c) != (xx ^ 1, x if family == 2 else 0):
+        if (ctx.mul(a, x), c) != (ctx.mul(x, x) ^ 1, x if family == 2 else 0):
             raise AssertionError(f"family {family} membership at m = {ctx.m} is not the paper's")
-        squares[u] = xx
-    del squares[0]
-    patterns = [{half * (votes - 2 * j): comb(votes, j) * q >> votes for j in range(votes + 1)}
-                for votes in range(3)]
-    flat = {half * (q - 2): 1, -q: half - 1, 0: half}  # t over gamma where every x votes
-    histogram: Counter[int] = Counter()
-    for alpha, copies in ((0, 1), (1, 1), (2, q - 2)):
-        row = mul_row(ctx, alpha)
-        votes = Counter(row[xx] ^ b for u, xx in squares.items() for b in (0, u))
-        for beta in ctx.elements():
-            if family == 1:
-                values = {half * votes[beta] + q * (alpha == beta) - q + 1: 1}
-            else:
-                values = flat if alpha == beta < 2 else patterns[votes[beta]]
-            for t, count in values.items():
-                histogram[t] += count * copies
+    q, half = ctx.size, ctx.size >> 1
+    cells = {0: q, 1: 4 * (q - 2), 2: (q - 2) * (q - 3)}  # by votes, less the two all-vote cells
     # t at u = 0, the pairs with a nonzero image: q/2 per x not in {0, 1}, less
     # (x, 0) and plus the q - 1 nonzero y of x = 1 for family 1
     members = half * (q - 2) + (family == 1)
-    histogram[members] -= 1
-    dim = 2 * ctx.m if family == 1 else 3 * ctx.m
-    return CountedSet(dim, members, +histogram)
+    if family == 1:
+        # no votes: 1 - q at (0, 1) and (1, 0), 1 at alpha = beta not in {0, 1};
+        # two votes: 1; all votes, at alpha = beta = 1 (alpha = beta = 0 is u = 0): members
+        histogram = Counter({1 - q: 2, 1 - half: cells[1], members: 1, 1: (q - 2) ** 2})
+        return CountedSet(2 * ctx.m, members, histogram)
+    # over gamma, each all-vote cell: members once, -q on q/2 - 1, 0 on q/2; less u = 0
+    histogram = Counter({members: 1, -q: q - 2, 0: q})
+    for votes, count in cells.items():
+        for f, patterns in sign_sum_counts(votes, q).items():
+            histogram[half * f] += count * patterns
+    return CountedSet(3 * ctx.m, members, histogram)
 
 
-def counted_sum_sets(
-    counted: CountedSet, s: int, zero_flags: Sequence[bool] = (False, True)
-) -> list[SumSetReport]:
-    """The s-sum-set verdict on a counted set, once per zero flag.
+def counted_sum_sets(counted: CountedSet, s: int) -> list[SumSetReport]:
+    """The s-sum-set verdicts on a counted set, without zero, then with it.
 
     s must be odd and greater than 1.  When one class is empty its sigma is
     reported equal to the other's.  The power guard counts the distinct
@@ -329,39 +316,38 @@ def counted_sum_sets(
     count at zero is 2^-K * sum of T(u)^s over the histogram of t.
     """
     _check_odd_power(s)
+    return [_counted_report(counted, s, include_zero) for include_zero in (False, True)]
+
+
+def _counted_report(counted: CountedSet, s: int, include_zero: bool) -> SumSetReport:
+    """The verdict of `counted_sum_sets` for one zero flag; s is checked by the caller."""
     dim, members, histogram = counted
     values = len(histogram)
     nonzero = (1 << dim) - 1
-    reports = []
-    for include_zero in zero_flags:
-        _check_zero_flag(include_zero)
-        _check_power_cost(s, members + include_zero, dim, values, f"{values} values of t")
-        zero = int(include_zero)
-        powers = {t: (t + zero) ** s for t in histogram}
-        total = (members + zero) ** s  # T(0)^s
-        at_zero = total + sum(n * powers[t] for t, n in histogram.items())
-        if at_zero & nonzero:
-            raise AssertionError("count-at-zero numerator did not divide evenly")
-        line = _power_line(powers)
-        sigma_in = sigma_out = None
-        if line is not None:
-            beta, gamma = line
-            numerator = total - beta * members - gamma
-            if numerator & nonzero:
-                raise AssertionError("alpha numerator did not divide evenly")
-            sigma_out = numerator >> dim
-            sigma_in = sigma_out + beta
-        reports.append(
-            SumSetReport(
-                include_zero=include_zero,
-                set_size=members + zero,
-                is_sum_set=line is not None,
-                sigma_members=sigma_in,
-                sigma_outside=sigma_out,
-                count_at_zero=at_zero >> dim,
-            )
-        )
-    return reports
+    _check_power_cost(s, members + include_zero, dim, values, f"{values} values of t")
+    zero = int(include_zero)
+    powers = {t: (t + zero) ** s for t in histogram}
+    total = (members + zero) ** s  # T(0)^s
+    at_zero = total + sum(n * powers[t] for t, n in histogram.items())
+    if at_zero & nonzero:
+        raise AssertionError("count-at-zero numerator did not divide evenly")
+    line = _power_line(powers)
+    sigma_in = sigma_out = None
+    if line is not None:
+        beta, gamma = line
+        numerator = total - beta * members - gamma
+        if numerator & nonzero:
+            raise AssertionError("alpha numerator did not divide evenly")
+        sigma_out = numerator >> dim
+        sigma_in = sigma_out + beta
+    return SumSetReport(
+        include_zero=include_zero,
+        set_size=members + zero,
+        is_sum_set=line is not None,
+        sigma_members=sigma_in,
+        sigma_outside=sigma_out,
+        count_at_zero=at_zero >> dim,
+    )
 
 
 COUNTED_VARIANTS = {"paper-column": paper_column_counts, "code-column": code_column_counts}

@@ -6,7 +6,7 @@ polynomial of degree 2..10, and sum sets past the
 CLI's cap: family-1 sets at m = 9 and 10 by transform, code-column sets of
 family 1 at m = 9..16 and family 2 at odd m = 11..15 from the code's
 weights, and paper-column sets of family 1 at m = 9..16 and family 2 at
-odd m = 7..15 counted per x.
+odd m = 7..15 counted from their vote cells.
 
 Asserts each report is ok, that the report under every irreducible
 polynomial equals the one under the default polynomial, at m = 9 and 10
@@ -125,7 +125,7 @@ def check_sum_sets(m: int, variant: str) -> None:
             before = len(transforms)
             assert counted_sum_sets(paper_column_counts(ctx, 1), 3) == reports, m
             assert transforms[before:] == [], (m, transforms)
-            print(f"m={m}: paper-column reports counted per x == the transform's in"
+            print(f"m={m}: paper-column reports counted from vote cells == the transform's in"
                   f" {time.perf_counter() - start:.2f}s", flush=True)
 
 
@@ -150,7 +150,7 @@ def check_counting_route(family: int, m: int) -> None:
     assert len(counted.histogram) >= 4, (family, m, counted.histogram)
     assert not any(r.is_sum_set for r in reports), (family, m)
     print(f"m={m}: family-{family} paper-column set of {counted.members} nonzero points counted"
-          f" per x, {len(counted.histogram)} values of t, no sum set, no transform, in"
+          f" from vote cells, {len(counted.histogram)} values of t, no sum set, no transform, in"
           f" {time.perf_counter() - start:.2f}s", flush=True)
 
 

@@ -461,16 +461,24 @@ def test_out_flag_write_failure_is_usage_error(tmp_path, capsys):
         "verify --family 1 --m 3 --format json",
         # stderr on the same closed pipe, so the error message cannot be written either
         "charsums --m 6 2>&1",
+        # a full device, where every write fails with ENOSPC, not EPIPE
+        "verify --family 1 --m 3 >/dev/full",
     ],
 )
 def test_closed_stdout_is_usage_error(argv):
-    # the pipe's read end is closed before the process starts, so every write fails;
-    # exit 1 would read as a failed claim
+    # the pipe's read end is closed before the process starts, or stdout is a full
+    # device, so every write fails; exit 1 would read as a failed claim
+    argv, _, device = argv.partition(" >")
+    if device and not os.path.exists(device):
+        pytest.skip(f"{device} does not exist here")
     same_pipe = argv.endswith(" 2>&1")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    read_end, write_end = os.pipe()
-    os.close(read_end)
+    if device:
+        write_end = os.open(device, os.O_WRONLY)
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "tracecodes.cli", *argv.removesuffix(" 2>&1").split()],

@@ -35,6 +35,7 @@ from tracecodes.codes import (
     hyperplane_distribution,
     matrix_text,
     minimum_distance,
+    sign_sum_counts,
     slope_classes,
     slope_form,
     weight_distribution,
@@ -356,6 +357,22 @@ def test_hyperplane_distribution_refuses_a_class_of_three_units(monkeypatch):
     monkeypatch.setattr(codes_module, "slope_form", slope_form_of(forms))
     with pytest.raises(AssertionError, match="slope 1 has 3 units"):
         hyperplane_distribution(GF2m(3), 1)
+
+
+def test_sign_sum_counts_needs_independent_units():
+    # over b, the sum of (-1)^trace(b*x) over 0, 1 or 2 distinct units x takes the
+    # counted values; over a dependent triple it does not, so a class of three is refused
+    for m in range(2, 7):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            q = ctx.size
+            for x1, x2 in ((1, 2), (q - 1, q - 2)):
+                for units in ((), (x1,), (x1, x2), (x1, x2, x1 ^ x2)):
+                    sums = Counter(
+                        sum((-1) ** ctx.trace(ctx.mul(b, x)) for x in units) for b in ctx.elements()
+                    )
+                    counts = sign_sum_counts(len(units), q)
+                    assert (dict(sums) == counts) == (len(units) < 3), (m, poly, units)
 
 
 def test_hyperplane_distribution_checks_its_total(monkeypatch):
