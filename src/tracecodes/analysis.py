@@ -87,8 +87,10 @@ def griesmer_classify(n: int, k: int, d: int) -> str:
     Optimal here means no binary [n, k, d+1] code passes the Griesmer bound;
     almost-optimal means no [n, k, d+2] code does.
     """
-    if min(n, k, d) < 1:
-        raise ValueError("parameters must be positive")
+    if type(n) is not int or type(k) is not int or type(d) is not int:  # True and 8.0 pass the checks
+        raise TypeError(f"parameters must be ints, got ({n!r}, {k!r}, {d!r})")
+    if min(k, d) < 1 or n < griesmer_length(k, d):  # n < 1 fails the second test
+        raise ValueError(f"no binary [{n}, {k}, {d}] code: k and d must be positive, n at least g(k, d)")
     if griesmer_length(k, d + 1) > n:
         return "optimal"
     if griesmer_length(k, d + 2) > n:
@@ -145,6 +147,8 @@ def is_minimal(code: BinaryLinearCode) -> bool:
 
 def closed_form_distribution(family: int, m: int) -> WeightDistribution:
     """Predicted weight distribution of the family's code, including weight 0."""
+    if type(family) is not int or type(m) is not int:  # True and 2.0 would pass as families 1 and 2
+        raise TypeError(f"family and m must be ints, got {family!r} and {m!r}")
     if m < 2:
         raise ValueError("m must be at least 2")
     h = 1 << (m - 1)  # 2^(m-1)
@@ -222,6 +226,8 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     own; the comparison is against the family-1 table, which is the claimed
     coincidence, and a note records that reading.
     """
+    if type(family) is not int:  # True and 2.0 would pass as families 1 and 2, and be reported
+        raise TypeError(f"family must be an int, got {family!r}")
     ctx = GF2m(m, poly)
     n, wd = hyperplane_distribution(ctx, family)
     k = 2 * m

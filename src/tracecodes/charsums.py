@@ -147,6 +147,8 @@ def plain_char_sum_closed(ctx: GF2m, a: FieldElement, b: FieldElement) -> CharSu
 
 def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> CharSumValue:
     """Case table for the family sum; family 2 requires odd m."""
+    if family not in FAMILIES:  # `case_rule` reads None as the plain sum
+        raise ValueError(f"family must be 1, 2 or 3, got {family}")
     _require_nonzero_pair(ctx, a, b)
     return case_rule(ctx, family, a).value(ctx, b)
 
@@ -161,21 +163,14 @@ def _observed_row(ctx: GF2m, members: list[tuple[FieldElement, int]]) -> list[in
     return row
 
 
-class SumRow(NamedTuple):
-    """One sum at one a, over b: observed[b] is checked against values[picks[b]]."""
+def conformance_rows(ctx: GF2m) -> Iterator[tuple[FieldElement, list[tuple]]]:
+    """Each a in order, with a (name, observed, values, picks, matches) row per sum.
 
-    sum_name: str
-    observed: list[int]
-    values: tuple[CharSumValue, ...]
-    picks: list[int]
-
-
-def conformance_rows(ctx: GF2m) -> Iterator[tuple[FieldElement, list[SumRow]]]:
-    """Each a in order, with the row of the plain sum and of each in-scope family sum.
-
-    The family-2 closed form is only defined for odd m and is skipped for
-    even m.  Every unit x is in R_0 for the plain sum.  Each row has q
-    entries, so no vector over the pairs (a, b) is built.
+    The rows are of the plain sum and of each in-scope family sum: the
+    family-2 closed form is only defined for odd m and is skipped for even
+    m.  matches[b] says whether observed[b] is a candidate of
+    values[picks[b]].  Every unit x is in R_0 for the plain sum.  Each list
+    has q entries, so no vector over the pairs (a, b) is built.
     """
     families = [f for f in FAMILIES if paper_covers(f, ctx.m)]
     sums = [("plain", None, {0: [(x, 0) for x in ctx.units()]})] + [
@@ -185,8 +180,9 @@ def conformance_rows(ctx: GF2m) -> Iterator[tuple[FieldElement, list[SumRow]]]:
         rows = []
         for name, family, classes in sums:
             rule = case_rule(ctx, family, a)
-            observed = _observed_row(ctx, classes.get(a, []))
-            rows.append(SumRow(name, observed, rule.values, rule.picks(ctx)))
+            observed, picks = _observed_row(ctx, classes.get(a, [])), rule.picks(ctx)
+            matches = [rule.values[p].matches(o) for o, p in zip(observed, picks)]
+            rows.append((name, observed, rule.values, picks, matches))
         yield a, rows
 
 
@@ -210,8 +206,6 @@ def conformance_sweep(ctx: GF2m) -> Iterator[SweepRecord]:
     """
     for a, rows in conformance_rows(ctx):
         for b in range(0 if a else 1, ctx.size):
-            for name, observed, values, picks in rows:
-                oracle, closed = observed[b], values[picks[b]]
-                yield SweepRecord(
-                    name, a, b, oracle, closed.case, closed.candidates, oracle in closed.candidates
-                )
+            for name, observed, values, picks, matches in rows:
+                closed = values[picks[b]]
+                yield SweepRecord(name, a, b, observed[b], closed.case, closed.candidates, matches[b])

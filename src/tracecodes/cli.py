@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from typing import TYPE_CHECKING, Sequence, TextIO
 
 from .walsh import TooLargeError
@@ -31,11 +32,8 @@ def canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-_LINE_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps(obj, sort_keys=True), built once
-
-
 def json_line(obj: object) -> str:
-    return _LINE_ENCODER.encode(obj)
+    return json.dumps(obj, sort_keys=True)
 
 
 def enumerator_string(wd: WeightDistribution) -> str:
@@ -151,7 +149,7 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
     """One line per (a, b) != (0, 0) and sum, written from each a's rows.
 
     The text of each distinct (sum, closed form) is rendered once; each
-    record adds a, b, the observed value and whether it is a candidate.
+    record adds a, b, the observed value and whether it matched.
     """
     from .charsums import conformance_rows
     from .codes import FAMILIES, paper_covers
@@ -162,22 +160,18 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
         record_parts, record = _json_record_parts, _json_record
     else:
         record_parts, record = _text_record_parts, _text_record
-    parts: dict[tuple[str, CharSumValue], tuple[str, str]] = {}
+    parts = cache(record_parts)
     lines: list[str] = []
     mismatch_count = 0
     for a, rows in conformance_rows(ctx):
-        rendered = []
-        for name, observed, values, picks in rows:
-            for value in values:
-                if (name, value) not in parts:
-                    parts[name, value] = record_parts(name, value)
-            rendered.append((observed, picks, values, [parts[name, v] for v in values]))
+        rendered = [
+            (observed, picks, matches, [parts(name, v) for v in values])
+            for name, observed, values, picks, matches in rows
+        ]
         for b in range(0 if a else 1, ctx.size):
-            for observed, picks, values, row_parts in rendered:
-                oracle, pick = observed[b], picks[b]
-                match = oracle in values[pick].candidates
-                mismatch_count += not match
-                lines.append(record(row_parts[pick], a, b, oracle, match))
+            for observed, picks, matches, row_parts in rendered:
+                mismatch_count += not matches[b]
+                lines.append(record(row_parts[picks[b]], a, b, observed[b], matches[b]))
     total = len(lines)
     skipped = [f"family{f}" for f in FAMILIES if not paper_covers(f, args.m)]
     if args.format == "json":

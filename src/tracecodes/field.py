@@ -108,6 +108,8 @@ class GF2m(_Field):
 
     def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
         """Product modulo the reduction polynomial (shift-and-reduce)."""
+        if (a | b) >> self.m:  # a negative b never shifts down to 0
+            raise ValueError(f"{a} and {b} are not both elements of GF(2^{self.m})")
         top = 1 << self.m
         r = 0
         while b:
@@ -120,7 +122,7 @@ class GF2m(_Field):
         return r
 
     def trace(self, a: FieldElement) -> int:
-        """Absolute trace: sum of the m Frobenius conjugates, in {0, 1}."""
+        """Absolute trace: sum of the m Frobenius conjugates, in {0, 1}; `mul` refuses an a >= q or < 0."""
         t = s = a
         for _ in range(self.m - 1):
             s = self.mul(s, s)

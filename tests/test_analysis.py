@@ -202,8 +202,15 @@ def test_griesmer_classify():
     assert griesmer_classify(8, 4, 3) == "almost-optimal"
     assert griesmer_classify(8, 4, 4) == "optimal"
     assert griesmer_classify(8, 4, 2) == "inconclusive"
+    assert griesmer_classify(7, 3, 4) == "optimal"  # the [7, 3, 4] simplex code meets g(3, 4) = 7
     with pytest.raises(ValueError):
         griesmer_classify(8, 0, 3)
+    for n in (0, 5, 6):  # below g(3, 4) = 7, so no binary [n, 3, 4] code exists
+        with pytest.raises(ValueError):
+            griesmer_classify(n, 3, 4)
+    for params in ((8.0, 4, 3), (8, 4, 3.0), (True, 1, 1), (8, True, 3)):
+        with pytest.raises(TypeError):
+            griesmer_classify(*params)
 
 
 def test_ab_minimal():
@@ -366,6 +373,17 @@ def test_closed_form_distribution_scope():
         closed_form_distribution(4, 3)
     with pytest.raises(ValueError):
         closed_form_distribution(1, 1)
+    # True and 2.0 would pass the range checks as 1 and 2
+    for family, m in ((True, 3), (2.0, 3), (1, True)):
+        with pytest.raises(TypeError):
+            closed_form_distribution(family, m)
+
+
+def test_verify_refuses_a_family_that_is_not_an_int():
+    # True and 2.0 would pass as families 1 and 2, and be reported back as true and 2.0
+    for family in (True, 2.0):
+        with pytest.raises(TypeError):
+            verify(family, 3)
 
 
 def test_verify_family1_m3():

@@ -89,9 +89,13 @@ def test_closed_forms_reject_zero_pair():
     for a, b in ((0, 0), (8, 1), (1, 8), (-1, 0)):
         with pytest.raises(ValueError):
             plain_char_sum_closed(ctx, a, b)
-        for family in (1, 2, 3):
+        for family in (1, 2, 3, None):
             with pytest.raises(ValueError):
                 family_char_sum_closed(ctx, family, a, b)
+    # and families outside FAMILIES: `case_rule` would read None as the plain sum
+    for family in (None, 0, 4):
+        with pytest.raises(ValueError):
+            family_char_sum_closed(ctx, family, 1, 1)
     # and pairs that are not ints, which would pass the range check and return a value
     for a, b in ((1.0, 0), (0, 1.0)):
         with pytest.raises(TypeError):

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,36 @@ def test_mul_examples():
         for a in ctx.elements():
             assert ctx.mul(a, 1) == a
             assert ctx.mul(a, 0) == 0
+
+
+def test_mul_and_trace_refuse_operands_outside_the_field():
+    # an operand of q or more would give a value outside the field: trace(9) was 4240
+    ctx = GF2m(3)
+    for a, b in ((8, 1), (1, 8), (9, 9)):
+        with pytest.raises(ValueError):
+            ctx.mul(a, b)
+    for a in (8, 9, 255):
+        with pytest.raises(ValueError):
+            ctx.trace(a)
+
+
+@pytest.mark.parametrize("call", ["mul(1, -1)", "mul(-1, 1)", "trace(-1)"])
+def test_negative_operands_are_refused_in_a_new_interpreter(call):
+    # under a timeout, since the shift loop over a negative operand never reached 0
+    script = (
+        "from tracecodes.field import GF2m\n"
+        f"try:\n    GF2m(3).{call}\nexcept ValueError:\n    print('refused')\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
 
 
 def test_mul_matches_naive_and_is_a_field_product():
