@@ -20,7 +20,6 @@ _HOMES = {
     """,
     "charsums": """
         CharSumValue conformance_sweep family_char_sum_closed plain_char_sum_closed
-        reciprocal_sums
     """,
     "codes": """
         FAMILIES BinaryLinearCode DefiningSet enumerate_defining_set generator_matrix

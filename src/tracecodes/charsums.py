@@ -6,18 +6,22 @@ a*x = u and 0 at every other a, so the observed row of a sum at a, over b,
 is q * sum over x in R_a of (-1)^(trace(c) + trace(b*x)), with R_a the
 units that `codes.slope_classes` groups at a.  The closed form at a depends
 on b only through [b = 0] and one trace bit trace(ell*b) (`case_rule`).
+For families 1 and 2 it splits on whether a != 0 is in the reciprocal-sum
+set {r + 1/r}, that is whether z^2 + a*z + 1 has a root: z = a*w gives
+w^2 + w = a^-2, which has one exactly when trace(a^-2) = trace(1/a) = 0
+(Lidl-Niederreiter, Finite Fields, Thm 2.25), so the split reads no slope
+of `codes`.
 Closed forms with a genuinely undetermined sign return both candidates,
 and conformance means membership.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .codes import FAMILIES, paper_covers, slope_classes, slope_form
-from .field import CACHED_FIELDS, FieldElement, GF2m, mul_row, trace_table
+from .codes import FAMILIES, paper_covers, slope_classes
+from .field import FieldElement, GF2m, mul_row, trace_table, unit_inverses
 
 
 class CharSumValue(NamedTuple):
@@ -38,15 +42,6 @@ class CharSumValue(NamedTuple):
 
     def matches(self, observed: int) -> bool:
         return observed in self.candidates
-
-
-@lru_cache(maxsize=CACHED_FIELDS)
-def reciprocal_sums(ctx: GF2m) -> frozenset[FieldElement]:
-    """The a = r + 1/r, r not in {0, 1}: those for which z^2 + a*z + 1 has two roots r and 1/r.
-
-    They are the nonzero family-1 slopes of `codes.slope_form`.
-    """
-    return frozenset(slope_form(ctx, 1, r)[0] for r in range(2, ctx.size))
 
 
 class CaseRule(NamedTuple):
@@ -87,9 +82,10 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
     """The case table of the plain sum (family None) or a family sum at a.
 
     ell is 1 at a = 0, a for families 1 and 2 at a in the reciprocal-sum
-    set and a + 1 for family 3 at a unit a != 1; every other rule is
-    constant in b.  Family 2 reads trace(a*(b + 1)) = trace(a*b) + trace(a),
-    so trace(a) orders its two values; it requires odd m.
+    set, the units with trace(1/a) = 0, and a + 1 for family 3 at a unit
+    a != 1; every other rule is constant in b.  Family 2 reads
+    trace(a*(b + 1)) = trace(a*b) + trace(a), so trace(a) orders its two
+    values; it requires odd m.
     """
     q = ctx.size
     if family is None:
@@ -113,7 +109,7 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
                 CharSumValue((-q,), "a unit !=1, trace((a+1)*b)=1"),
             ),
         )
-    if a not in reciprocal_sums(ctx):
+    if trace_table(ctx)[unit_inverses(ctx)[a]]:
         return _constant(CharSumValue((0,), "a outside reciprocal-sum set"))
     if family == 1:
         return CaseRule(
@@ -132,7 +128,7 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
 
 
 def _require_nonzero_pair(ctx: GF2m, a: FieldElement, b: FieldElement) -> None:
-    if not (isinstance(a, int) and isinstance(b, int)):  # 1.0 would pass the range check
+    if type(a) is not int or type(b) is not int:  # 1.0 and True would pass the range check
         raise TypeError(f"(a, b) = ({a!r}, {b!r}) is not a pair of ints")
     if not (0 <= a < ctx.size and 0 <= b < ctx.size):
         raise ValueError(f"(a, b) = ({a}, {b}) is not a pair of elements of GF(2^{ctx.m})")
@@ -149,6 +145,8 @@ def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElem
     """Case table for the family sum; family 2 requires odd m."""
     if family not in FAMILIES:  # `case_rule` reads None as the plain sum
         raise ValueError(f"family must be 1, 2 or 3, got {family}")
+    if type(family) is not int:  # True and 1.0 equal members of FAMILIES
+        raise TypeError(f"family must be an int, got {family!r}")
     _require_nonzero_pair(ctx, a, b)
     return case_rule(ctx, family, a).value(ctx, b)
 

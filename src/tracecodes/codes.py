@@ -77,6 +77,8 @@ def slope_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, F
     The paper writes trace(u*y + c) with u = x^2 + 1 (families 1, 2) or x^2 + x
     (family 3), so a = u*x^-1 is x + x^-1 or x + 1; c is x for family 2, else 0.
     """
+    if type(family) is not int:  # True and 1.0 would pass as family 1
+        raise TypeError(f"family must be an int, got {family!r}")
     if family in (1, 2):
         return x ^ unit_inverses(ctx)[x], x if family == 2 else 0
     if family == 3:

@@ -14,7 +14,8 @@ distinct values of t, and the count at zero off their histogram.  The
 zero flag adds 1 to every entry, so a set with and without zero share one
 histogram.  `counted_sum_sets` makes every verdict from such a histogram.
 `check_sum_set` counts it for any `OmegaSet` with one forward transform,
-no inverse.  A family's two sets need no vectors and no transform:
+`codes.column_spectrum` of the nonzero members read as columns, and no
+inverse.  A family's two sets need no vectors and no transform:
 `code_column_counts` reads the histogram of the code-column set, the
 distinct nonzero generator columns of a code with n columns, off the
 code's weight distribution, t(u) = n - 2 wt(u) (Calderbank-Kantor), and
@@ -30,6 +31,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .codes import (
+    column_spectrum,
     defining_columns,
     distinct_nonzero_columns,
     enumerate_defining_set,
@@ -39,7 +41,7 @@ from .codes import (
     slope_form,
 )
 from .field import GF2m, mul_row, trace_coordinates
-from .walsh import TooLargeError, check_dimension, walsh_hadamard, zero_vector
+from .walsh import TooLargeError, check_dimension, walsh_hadamard
 
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
 
@@ -120,17 +122,6 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     return OmegaSet(ambient_dim=dim, vectors=frozenset(raw - {0}), include_zero=0 in raw)
 
 
-def _nonzero_spectrum(omega: OmegaSet) -> list[int]:
-    """Transform of the nonzero members' indicator.
-
-    With zero included the set's transform is this plus 1 at every u.
-    """
-    indicator = zero_vector(omega.ambient_dim)
-    for v in omega.vectors:
-        indicator[v] = 1
-    return walsh_hadamard(indicator)
-
-
 def _check_power_cost(s: int, size: int, dim: int, values: int, basis: str) -> None:
     """Refuse an s whose powers of `values` spectrum entries are estimated above the guard.
 
@@ -152,7 +143,8 @@ def representation_counts(omega: OmegaSet, s: int) -> list[int]:
     """Exact s-fold XOR representation counts for every h, by transform."""
     _check_power_cost(s, omega.size, omega.ambient_dim, 1 << omega.ambient_dim, "2^K")
     zero = int(omega.include_zero)
-    spectrum = _nonzero_spectrum(omega)
+    # only the transform is kept, so the count vector is freed before the inverse
+    spectrum = column_spectrum(omega.vectors, omega.ambient_dim).transform
     powers = {t: (t + zero) ** s for t in set(spectrum)}  # equal entries share one power
     back = walsh_hadamard([powers[t] for t in spectrum])
     if any(g & ((1 << omega.ambient_dim) - 1) for g in back):
@@ -217,7 +209,8 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     members = len(omega.vectors)
     values = min(1 << omega.ambient_dim, members + 1)
     _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
-    histogram = Counter(itertools.islice(_nonzero_spectrum(omega), 1, None))  # over u != 0
+    spectrum = column_spectrum(omega.vectors, omega.ambient_dim).transform
+    histogram = Counter(itertools.islice(spectrum, 1, None))  # over u != 0
     counted = CountedSet(omega.ambient_dim, members, histogram)
     return _counted_report(counted, s, omega.include_zero)
 

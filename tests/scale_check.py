@@ -14,8 +14,10 @@ that the per-x hyperplane counts agree with the transform of the defining
 set's column counts, and that every sweep record matches its closed form.
 Under every irreducible polynomial the sweep's record counts per (sum, case)
 and the `paper_column_counts` set (family 1, and family 2 at odd m) equal
-the default polynomial's: these read the slope classes and reciprocal sums
-that `verify` does not.
+the default polynomial's: these read the slope classes and the trace of
+1/a that `verify` does not.  At m = 11..16 under the default polynomial the
+units a with trace(1/a) = 0, where the family-1 and family-2 closed forms
+depend on b, are asserted to be the nonzero family-1 slopes.
 For the family-1 code-column set at m = 9 and 10, and the paper-column set
 at m = 9, at s = 3 with zero excluded and included, it asserts that `check_sum_set`
 runs one forward transform per call and no inverse, that the code-column
@@ -47,8 +49,8 @@ from oracles import family_spectrum, irreducibles, sum_set_report_from_counts
 from tracecodes import codes, sumsets
 from tracecodes.analysis import verify
 from tracecodes.charsums import conformance_sweep
-from tracecodes.codes import hyperplane_distribution, paper_covers
-from tracecodes.field import GF2m
+from tracecodes.codes import hyperplane_distribution, paper_covers, slope_classes
+from tracecodes.field import GF2m, trace_table, unit_inverses
 from tracecodes.sumsets import (
     build_omega,
     check_sum_set,
@@ -64,6 +66,7 @@ POLY_DEGREES = range(2, 11)
 CONFORMANCE_POLY_DEGREES = range(2, 8)
 SPECTRUM_DEGREES = (9, 10)
 SWEEP_DEGREES = (7, 8, 9, 10)
+RECIPROCAL_SUM_DEGREES = range(11, 17)
 SUMSET_CASES = ((9, "code-column"), (9, "paper-column"), (10, "code-column"))
 SUMSET_ORACLE_DEGREES = (9,)
 WEIGHTS_ROUTE_CASES = tuple((1, m) for m in range(11, 17)) + tuple((2, m) for m in (11, 13, 15))
@@ -197,6 +200,17 @@ def check_every_polynomial_paper_column(m: int) -> None:
           f" irreducible polynomials in {time.perf_counter() - start:.2f}s", flush=True)
 
 
+def check_reciprocal_sum_set(m: int) -> None:
+    start = time.perf_counter()
+    ctx = GF2m(m)
+    tr, inv = trace_table(ctx), unit_inverses(ctx)
+    sums = {a for a in ctx.units() if tr[inv[a]] == 0}
+    assert len(sums) == ctx.size // 2 - 1, m
+    assert sums == set(slope_classes(ctx, 1)) - {0}, m
+    print(f"m={m}: the {len(sums)} units with trace(1/a) = 0 are the nonzero family-1 slopes in"
+          f" {time.perf_counter() - start:.2f}s", flush=True)
+
+
 def main() -> None:
     for m in POLY_DEGREES:
         check_every_polynomial(m)
@@ -209,6 +223,8 @@ def main() -> None:
         check_weights_route(family, m)
     for family, m in COUNTING_ROUTE_CASES:
         check_counting_route(family, m)
+    for m in RECIPROCAL_SUM_DEGREES:
+        check_reciprocal_sum_set(m)
     for m in SWEEP_DEGREES:
         start = time.perf_counter()
         records = mismatches = 0

@@ -14,17 +14,18 @@ PUBLIC = """
     OmegaSet SumSetReport TooLargeError VerificationReport ab_minimal build_omega
     check_sum_set closed_form_distribution conformance_sweep enumerate_defining_set
     family_char_sum_closed generator_matrix griesmer_classify is_irreducible is_minimal
-    is_projective minimum_distance plain_char_sum_closed pless_dual_counts reciprocal_sums
-    representation_counts verify walsh_hadamard weight_distribution
+    is_projective minimum_distance plain_char_sum_closed pless_dual_counts representation_counts
+    verify walsh_hadamard weight_distribution
 """.split()
 
 # brute-force oracles that live in tests/oracles.py, and deleted dead code
 NOT_IN_PACKAGE = """
-    BRUTE_MINIMAL_MAX_DIM CoefficientSets _spectrum_memo brute_minimal char_sum_table
-    code_column_sum_sets codeword coefficient_sets distribution_json_dict dual_code
+    BRUTE_MINIMAL_MAX_DIM CoefficientSets _nonzero_spectrum _spectrum_memo brute_minimal
+    char_sum_table code_column_sum_sets codeword coefficient_sets distribution_json_dict dual_code
     family_char_sum matrix_rank membership_element paper_column_sum_sets plain_char_sum
-    reciprocal_quadratic_roots representation_counts_by_convolution representation_counts_naive
-    row_reduce sum_set_witness symmetric_three_weight trace_pair_count xor_convolve
+    reciprocal_quadratic_roots reciprocal_sums representation_counts_by_convolution
+    representation_counts_naive row_reduce sum_set_witness symmetric_three_weight trace_pair_count
+    xor_convolve
 """.split()
 
 README = Path(__file__).resolve().parents[1] / "README.md"

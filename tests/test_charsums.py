@@ -6,17 +6,18 @@ from itertools import islice
 
 import pytest
 
-from oracles import char_sum, char_sum_table, reciprocal_quadratic_roots
+from oracles import char_sum, char_sum_table, largest_irreducible, reciprocal_quadratic_roots
 from tracecodes import TooLargeError
 from tracecodes.charsums import (
+    CaseRule,
     CharSumValue,
     case_rule,
     conformance_sweep,
     family_char_sum_closed,
     plain_char_sum_closed,
-    reciprocal_sums,
 )
-from tracecodes.field import GF2m
+from tracecodes.codes import slope_classes
+from tracecodes.field import GF2m, trace_table, unit_inverses
 
 
 def test_reciprocal_quadratic_roots_examples():
@@ -38,22 +39,41 @@ def test_reciprocal_quadratic_roots_vieta():
                 assert ctx.mul(r1, r2) == 1
 
 
+def reciprocal_sum_set(ctx: GF2m) -> set[int]:
+    """The units a with trace(1/a) = 0."""
+    tr, inv = trace_table(ctx), unit_inverses(ctx)
+    return {a for a in ctx.units() if tr[inv[a]] == 0}
+
+
 def test_reciprocal_sums_m2():
-    assert reciprocal_sums(GF2m(2)) == {1}
+    assert reciprocal_sum_set(GF2m(2)) == {1}
 
 
 def test_reciprocal_sum_set_sizes():
-    for m in range(2, 7):
-        assert len(reciprocal_sums(GF2m(m))) == (1 << (m - 1)) - 1
+    # the trace set has q/2 - 1 members and is the set of nonzero family-1 slopes
+    for m in range(2, 11):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            sums = reciprocal_sum_set(ctx)
+            assert len(sums) == ctx.size // 2 - 1, (m, poly)
+            assert sums == set(slope_classes(ctx, 1)) - {0}, (m, poly)
 
 
 def test_reciprocal_sums_characterize_root_existence():
-    for m in (2, 3, 4, 5):
-        ctx = GF2m(m)
-        sums = reciprocal_sums(ctx)
-        for a in ctx.units():
-            has_roots = bool(reciprocal_quadratic_roots(ctx, a))
-            assert has_roots == (a in sums)
+    # z^2 + a*z + 1 has a root r, so a = r + 1/r, exactly when trace(1/a) = 0
+    # (Lidl-Niederreiter, Finite Fields, Thm 2.25); the trace set is checked
+    # against the scanned roots and the case rule
+    outside = CaseRule(0, (CharSumValue((0,), "a outside reciprocal-sum set"),) * 2)
+    for m in range(2, 11):
+        for poly in (0, largest_irreducible(m)):
+            ctx = GF2m(m, poly)
+            sums = reciprocal_sum_set(ctx)
+            if m <= 6:
+                roots = {a for a in ctx.units() if reciprocal_quadratic_roots(ctx, a)}
+                assert sums == roots, (m, poly)
+            for family in (1, 2) if m % 2 else (1,):
+                for a in ctx.units():
+                    assert (case_rule(ctx, family, a) == outside) == (a not in sums), (m, poly, a)
 
 
 def test_plain_char_sum_values():
@@ -96,8 +116,11 @@ def test_closed_forms_reject_zero_pair():
     for family in (None, 0, 4):
         with pytest.raises(ValueError):
             family_char_sum_closed(ctx, family, 1, 1)
-    # and pairs that are not ints, which would pass the range check and return a value
-    for a, b in ((1.0, 0), (0, 1.0)):
+    # and families and pairs that are not ints, which would pass the range
+    # check and return a value; True equals 1 and is in FAMILIES
+    with pytest.raises(TypeError):
+        family_char_sum_closed(ctx, True, 1, 1)
+    for a, b in ((1.0, 0), (0, 1.0), (True, False), (1, True)):
         with pytest.raises(TypeError):
             plain_char_sum_closed(ctx, a, b)
         for family in (1, 2, 3):
@@ -130,7 +153,7 @@ def test_family2_closed_examples():
     gf8 = GF2m(3)
     assert family_char_sum_closed(gf8, 2, 0, 1).value == 8  # trace(1)=1
     assert char_sum(gf8, 0, 1, family=2) == 8
-    sums = reciprocal_sums(gf8)
+    sums = reciprocal_sum_set(gf8)
     outside = next(a for a in gf8.units() if a not in sums)
     for b in gf8.elements():
         if (outside, b) == (0, 0):

@@ -41,6 +41,7 @@ from tracecodes.codes import (
     weight_distribution,
 )
 from tracecodes.field import GF2m, trace_coordinates
+from tracecodes.sumsets import code_column_counts
 
 # exact distributions, checked against the closed forms elsewhere
 TABLE_ROWS = {
@@ -80,6 +81,13 @@ def test_slope_form_times_x_is_the_paper_form():
                 assert (ctx.mul(a, x), c) == paper_form(ctx, family, x), (ctx, family, x)
     with pytest.raises(ValueError):
         slope_form(GF2m(3), 4, 1)
+    # True equals 1 and hashes as 1, so a builder that took it would build family 1
+    ctx = GF2m(3)
+    for build in (enumerate_defining_set, hyperplane_distribution, code_column_counts):
+        with pytest.raises(TypeError):
+            build(ctx, True)
+    with pytest.raises(TypeError):
+        slope_form(ctx, True, 1)
 
 
 def test_defining_set_sizes():

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from oracles import irreducibles, largest_irreducible
-from tracecodes.charsums import reciprocal_sums
 from tracecodes.field import (
     DEFAULT_POLYS,
     GF2m,
@@ -96,7 +95,7 @@ def test_contexts_are_immutable_values():
 
 def test_cached_tables_keep_a_bounded_number_of_fields():
     # a loop over reduction polynomials must not keep every field's q-entry tables
-    caches = (trace_table, unit_inverses, trace_coordinates, reciprocal_sums)
+    caches = (trace_table, unit_inverses, trace_coordinates)
     for poly in irreducibles(10)[:20]:
         ctx = GF2m(10, poly)
         for table in caches:

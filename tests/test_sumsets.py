@@ -44,7 +44,7 @@ def hand_set(dim: int, vectors, include_zero: bool = False) -> OmegaSet:
 
 @pytest.fixture
 def transform_calls(monkeypatch) -> list[int]:
-    """Lengths of the transforms `sumsets` runs."""
+    """Lengths of the transforms `sumsets` runs, its own and those of `codes.column_spectrum`."""
     calls: list[int] = []
 
     def counted(values):
@@ -52,6 +52,7 @@ def transform_calls(monkeypatch) -> list[int]:
         return walsh_hadamard(values)
 
     monkeypatch.setattr(sumsets, "walsh_hadamard", counted)
+    monkeypatch.setattr(codes, "walsh_hadamard", counted)
     return calls
 
 
