@@ -5,7 +5,7 @@ per-code report), charsums (closed-form conformance dump), sumset (s-fold
 XOR verdicts), sweep (verify across families and field degrees).
 
 Exit codes: 0 all checked claims hold, 1 a claim failed, 2 bad usage or an
-unwritable `--out` or stdout, 3 instance too large for exact computation.
+unwritable stdout, 3 instance too large for exact computation.
 
 Each subcommand imports the modules it runs when it runs, so a process
 loads only those.
@@ -49,24 +49,16 @@ def _to_devnull(stream: TextIO) -> None:
     os.close(devnull)
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if not args.out:
-        try:
-            print(text)
-            sys.stdout.flush()  # here, not at shutdown, where a failed write would exit 1
-        except OSError as exc:  # the reader left, or the device is full
-            _to_devnull(sys.stdout)
-            try:
-                print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
-            except OSError:  # stderr is the same closed pipe (`2>&1 | head -1`)
-                _to_devnull(sys.stderr)
-            raise SystemExit(2) from exc
-        return
+def _emit(text: str) -> None:
     try:
-        with open(args.out, "w") as handle:
-            handle.write(text + "\n")
-    except OSError as exc:  # a usage error, reported as argparse reports those
-        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        print(text)
+        sys.stdout.flush()  # here, not at shutdown, where a failed write would exit 1
+    except OSError as exc:  # the reader left, or the device is full
+        _to_devnull(sys.stdout)
+        try:
+            print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        except OSError:  # stderr is the same closed pipe (`2>&1 | head -1`)
+            _to_devnull(sys.stderr)
         raise SystemExit(2) from exc
 
 
@@ -104,10 +96,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
             "defining_pairs": len(dset),
             "rows": matrix_text(code).splitlines(),
         }
-        _emit(args, canonical_json(payload))
+        _emit(canonical_json(payload))
     else:
         header = f"family {args.family} m={args.m}: n={code.n} k={code.k}, {len(dset)} defining pairs"
-        _emit(args, header + "\n" + matrix_text(code))
+        _emit(header + "\n" + matrix_text(code))
     return 0
 
 
@@ -116,9 +108,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     report = verify(args.family, args.m)
     if args.format == "json":
-        _emit(args, canonical_json(report.to_json_dict()))
+        _emit(canonical_json(report.to_json_dict()))
     else:
-        _emit(args, "\n".join(_verify_lines(report)))
+        _emit("\n".join(_verify_lines(report)))
     return 0 if report.ok else 1
 
 
@@ -182,7 +174,7 @@ def _cmd_charsums(args: argparse.Namespace) -> int:
         for name in skipped:
             lines.append(f"{name}: skipped, closed form stated for odd m only")
         lines.append(f"total {total} cases, {mismatch_count} mismatches")
-    _emit(args, "\n".join(lines))
+    _emit("\n".join(lines))
     return 0 if mismatch_count == 0 else 1
 
 
@@ -235,7 +227,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
             "reports": [{**provenance, "variant": v, **r.to_json_dict()} for r, v, _ in decided],
             "any_sum_set": any_sum_set,
         }
-        _emit(args, canonical_json(payload))
+        _emit(canonical_json(payload))
     else:
         lines = []
         for r, variant, counted in decided:
@@ -248,7 +240,7 @@ def _cmd_sumset(args: argparse.Namespace) -> int:
             else:
                 values = sorted(counted.histogram)
                 lines.append(f"{tag}: NOT a sum set (T^s is not affine in t over t in {values})")
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     return 0 if any_sum_set else 1
 
 
@@ -270,7 +262,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             "informational": [r.to_json_dict() for r in informational],
             "all_ok": all_ok,
         }
-        _emit(args, canonical_json(payload))
+        _emit(canonical_json(payload))
     else:
         lines = []
         for r in claimed:
@@ -289,7 +281,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f" matches family-1 table: {'yes' if r.table_match else 'no'}"
             )
         lines.append("all claimed rows ok" if all_ok else "FAILURES above")
-        _emit(args, "\n".join(lines))
+        _emit("\n".join(lines))
     return 0 if all_ok else 1
 
 
@@ -312,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("construct", help="print the defining set size and generator matrix")
     p.add_argument("--family", type=int, choices=(1, 2, 3), required=True)

@@ -53,6 +53,8 @@ def poly_mod(a: int, b: int) -> int:
 
 def is_irreducible(poly: int) -> bool:
     """Trial division by every polynomial of degree 1..m//2, m = deg(poly); m must be in 2..16."""
+    if not isinstance(poly, int):  # a float or str has no degree to read
+        raise TypeError(f"polynomial must be an int, got {poly!r}")
     m = poly.bit_length() - 1
     if poly < 0 or not MIN_DEGREE <= m <= MAX_DEGREE:  # poly_mod never terminates on a negative poly
         shown = "a negative int" if poly < 0 else f"degree {m}"  # a huge poly has too many digits to print

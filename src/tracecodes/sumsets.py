@@ -127,7 +127,7 @@ def _check_power_cost(s: int, size: int, dim: int, values: int, basis: str) -> N
 
     Each |T(u)^s| <= size^s, so each power takes at most s * bit_length(size) bits.
     """
-    if not isinstance(s, int):  # 3.0 would pass the range checks
+    if type(s) is not int:  # 3.0 and True would pass the range checks
         raise TypeError(f"s must be an int, got {s!r}")
     if s < 1:
         raise ValueError("s must be at least 1")
@@ -189,7 +189,7 @@ def _power_line(powers: dict[int, int]) -> tuple[int, int] | None:
 
 
 def _check_odd_power(s: int) -> None:
-    if not isinstance(s, int):
+    if type(s) is not int:  # True would be refused as s = 1, not as a non-int
         raise TypeError(f"s must be an int, got {s!r}")
     if s <= 1 or s % 2 == 0:
         raise ValueError("s must be odd and greater than 1")

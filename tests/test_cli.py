@@ -1,4 +1,4 @@
-"""End-to-end CLI behavior: output formats, exit codes, file output."""
+"""End-to-end CLI behavior: output formats, exit codes, option set."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import pytest
 
 from oracles import charsums_output, largest_irreducible
 from tracecodes import charsums, field, sumsets
-from tracecodes.cli import enumerator_string, main
+from tracecodes.cli import build_parser, enumerator_string, main
 
 F1_M2_MATRIX = ["00110000", "01100101", "00001111", "11111100"]
 
@@ -297,6 +297,26 @@ def test_sumset_output_pinned_at_small_m(capsys):
         assert h.hexdigest() == digest, (family, m, fmt)
 
 
+# sha256 over (exit code, stdout, stderr) of each invocation, hashed as for `sumset`
+# above, recorded while `--out` still existed, before `_emit` lost its file branch
+REPORT_SHA256 = {
+    "verify --family 1 --m 3 --format text": "7c523739de8ef2d57deec683a18e8efcdb4741b72d81b51d4ac9bc355949bed9",
+    "verify --family 1 --m 3 --format json": "a4abaf5e4c860dd4d40706b0a8c1623538b58c52f67dc3cc9acc41bd3c0e403a",
+    "verify --family 2 --m 3 --format text": "5575ee7db9a0f7c887859a5eb1d8e2f412c83cf3fb448d915d805233271f9579",
+    "verify --family 2 --m 3 --format json": "e97ff9edd7025477d2c536da9b531a8bd9cd6043be0fa79d155a949870c83dae",
+    "verify --family 3 --m 3 --format text": "c13e4c2a0adbdcee1eed6fc7c932567d34b39826af9d32812f545300239a2aba",
+    "verify --family 3 --m 3 --format json": "3dd6aaa33814c9936ebff5ea05f2a4e5c18ed8a126b5d0d8d1bd7878b038b009",
+    "sweep --max-m 4 --format text": "d6595a4413d6f263d7ec9269910e6c9a4d3baca2cbb009de383e72605f7d00e8",
+    "sweep --max-m 4 --format json": "59065541fd249b8d433373253ab70aa1d88f3ff004a1c9966189755b34c2f3c7",
+}
+
+
+def test_verify_and_sweep_output_pinned_at_small_m(capsys):
+    for argv, digest in REPORT_SHA256.items():
+        rc, out, err = run(capsys, *argv.split())
+        assert hashlib.sha256(f"{rc}\n{out}\n{err}\n".encode()).hexdigest() == digest, argv
+
+
 def sumset_verdicts(fmt: str, out: str) -> list[bool]:
     """Each reported set's is_sum_set, read off JSON or off the text lines."""
     if fmt == "json":
@@ -383,18 +403,42 @@ def test_sumset_rejects_even_s(capsys):
         assert "s must be an odd integer greater than 1" in capsys.readouterr().err, s
 
 
-def test_unknown_choice_is_usage_error(capsys):
+def test_unknown_choice_is_usage_error(capsys, tmp_path, monkeypatch):
     cases = [
         "construct --family 5 --m 2",
         # `sumset` always reports both sets, each with and without zero
         "sumset --family 1 --m 2 --variant code-column",
         "sumset --family 1 --m 2 --zero with",
+        # every report goes to stdout; a file is written by redirecting it
+        "construct --family 1 --m 2 --out x.json",
+        "verify --family 1 --m 2 --out x.json",
+        "charsums --m 2 --out x.json",
+        "sumset --family 1 --m 2 --out x.json",
+        "sweep --max-m 2 --out x.json",
     ]
+    monkeypatch.chdir(tmp_path)
     for argv in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv.split())
         assert exc.value.code == 2, argv
         assert capsys.readouterr().out == "", argv
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_each_subcommand_has_exactly_its_options():
+    # a new option, or a removed one, shows here as a diff of one list
+    expected = {
+        "construct": ["--family", "--m", "--format"],
+        "verify": ["--family", "--m", "--format"],
+        "charsums": ["--m", "--format"],
+        "sumset": ["--family", "--m", "--s", "--format"],
+        "sweep": ["--max-m", "--format"],
+    }
+    (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert list(subparsers.choices) == list(expected)
+    for name, options in expected.items():
+        actions = subparsers.choices[name]._actions
+        assert [s for a in actions for s in a.option_strings] == ["-h", "--help", *options], name
 
 
 def test_sweep_exit_codes(capsys):
@@ -430,28 +474,6 @@ def test_sweep_json_shape(capsys):
     assert [(r["family"], r["m"]) for r in payload["informational"]] == [(2, 2)]
     failing = [r for r in payload["rows"] if not r["ok"]]
     assert [(r["family"], r["m"]) for r in failing] == [(2, 3)]
-
-
-def test_out_flag_writes_file(tmp_path, capsys):
-    target = tmp_path / "report.json"
-    rc, out, _ = run(
-        capsys, "verify", "--family", "1", "--m", "2", "--format", "json", "--out", str(target)
-    )
-    assert rc == 0
-    assert out == ""
-    payload = json.loads(target.read_text())
-    assert payload["ok"] is True
-
-
-def test_out_flag_write_failure_is_usage_error(tmp_path, capsys):
-    target = tmp_path / "missing" / "report.json"
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--family", "1", "--m", "3", "--out", str(target)])
-    assert exc.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(target) in err
-    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize(

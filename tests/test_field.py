@@ -79,6 +79,9 @@ def test_is_irreducible_reads_the_degree_and_refuses_unsupported_ones():
     for poly in (-0b10011, 0, 1, 0b11, (1 << 17) | 0b1001, (1 << 127) | 0b11, 1 << 100000):
         with pytest.raises(ValueError):
             is_irreducible(poly)
+    for poly in (7.0, "7"):
+        with pytest.raises(TypeError):
+            is_irreducible(poly)
 
 
 def test_contexts_are_immutable_values():

@@ -85,11 +85,13 @@ def test_omega_set_validation():
     # a float passes the range checks, then fails inside the transform
     with pytest.raises(TypeError):
         OmegaSet(2, [1.0], False)
-    for call in (check_sum_set, representation_counts):
+    # True would be taken as s = 1: counted by `representation_counts`, refused as s = 1 by the others
+    for s in (3.0, True):
+        for call in (check_sum_set, representation_counts):
+            with pytest.raises(TypeError):
+                call(omega, s)
         with pytest.raises(TypeError):
-            call(omega, 3.0)
-    with pytest.raises(TypeError):
-        counted_sum_sets(code_column_counts(GF2m(3), 1), 3.0)
+            counted_sum_sets(code_column_counts(GF2m(3), 1), s)
 
 
 def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
