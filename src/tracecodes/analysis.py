@@ -25,7 +25,7 @@ from .codes import (
     paper_covers,
 )
 from .field import GF2m
-from .walsh import check_dimension, walsh_hadamard
+from .walsh import walsh_hadamard
 
 class DualCounts(NamedTuple):
     weight1: int
@@ -41,6 +41,8 @@ def pless_dual_counts(wd: WeightDistribution, n: int, k: int) -> DualCounts:
     the first two binary Pless identities.  A non-integral or negative
     solution means the distribution is not that of a binary [n, k] code.
     """
+    if type(n) is not int or type(k) is not int:  # True passes as 1 and solves to DualCounts(0, 0)
+        raise TypeError(f"n and k must be ints, got ({n!r}, {k!r})")
     total = sum(wd.values())
     if total != 1 << k:
         raise ValueError(f"distribution sums to {total}, expected {1 << k}")
@@ -253,7 +255,6 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     abm = ab_minimal(wd)
     minimal = True
     if minimality_triples(wd):
-        check_dimension(k)  # before the q^2/2 pairs are listed
         minimal = is_minimal(generator_matrix(ctx, enumerate_defining_set(ctx, family)))
 
     minimal_ok = True

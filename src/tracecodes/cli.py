@@ -114,56 +114,44 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _json_record_parts(name: str, value: CharSumValue) -> tuple[str, str]:
-    return (
-        f'"candidates": {json_line(list(value.candidates))}, "case": {json_line(value.case)}',
-        f'"sum": {json_line(name)}',
-    )
+def _record_templates(fmt: str, name: str, value: CharSumValue) -> list[str]:
+    """The line of one (sum, closed form) ending as a mismatch, then as a match.
 
-
-def _json_record(parts: tuple[str, str], a: int, b: int, oracle: int, match: bool) -> str:
-    """`json_line` of the record's dict, keys in sorted order, with the per-value parts spliced in."""
-    return (
-        f'{{"a": {a}, "b": {b}, {parts[0]}, "match": {"true" if match else "false"},'
-        f' "oracle": {oracle}, {parts[1]}}}'
-    )
-
-
-def _text_record_parts(name: str, value: CharSumValue) -> tuple[str, str]:
-    return name, f"[{value.case}] candidates={list(value.candidates)}"
-
-
-def _text_record(parts: tuple[str, str], a: int, b: int, oracle: int, match: bool) -> str:
-    return f"{parts[0]} a={a} b={b}: oracle={oracle} {parts[1]} {'ok' if match else 'MISMATCH'}"
+    Each is a %-template of a, b and the observed value, every other % doubled;
+    a JSON line has the sorted keys of `json_line`.
+    """
+    serialise = json_line if fmt == "json" else str
+    parts = (name, value.case, list(value.candidates))
+    name, case, cands = (serialise(part).replace("%", "%%") for part in parts)
+    if fmt == "json":
+        head = f'{{"a": %d, "b": %d, "candidates": {cands}, "case": {case}, "match": '
+        return [f'{head}{match}, "oracle": %d, "sum": {name}}}' for match in ("false", "true")]
+    return [f"{name} a=%d b=%d: oracle=%d [{case}] candidates={cands} {end}" for end in ("MISMATCH", "ok")]
 
 
 def _cmd_charsums(args: argparse.Namespace) -> int:
     """One line per (a, b) != (0, 0) and sum, written from each a's rows.
 
-    The text of each distinct (sum, closed form) is rendered once; each
-    record adds a, b, the observed value and whether it matched.
+    Each distinct (sum, closed form) is rendered once, as one template per
+    match verdict; each record fills in a, b and the observed value.
     """
     from .charsums import conformance_rows
     from .codes import FAMILIES, paper_covers
     from .field import GF2m
 
     ctx = GF2m(args.m)
-    if args.format == "json":
-        record_parts, record = _json_record_parts, _json_record
-    else:
-        record_parts, record = _text_record_parts, _text_record
-    parts = cache(record_parts)
+    record_templates = cache(_record_templates)
     lines: list[str] = []
     mismatch_count = 0
     for a, rows in conformance_rows(ctx):
         rendered = [
-            (observed, picks, matches, [parts(name, v) for v in values])
+            (observed, picks, matches, [record_templates(args.format, name, v) for v in values])
             for name, observed, values, picks, matches in rows
         ]
         for b in range(0 if a else 1, ctx.size):
-            for observed, picks, matches, row_parts in rendered:
+            for observed, picks, matches, templates in rendered:
                 mismatch_count += not matches[b]
-                lines.append(record(row_parts[picks[b]], a, b, observed[b], matches[b]))
+                lines.append(templates[picks[b]][matches[b]] % (a, b, observed[b]))
     total = len(lines)
     skipped = [f"family{f}" for f in FAMILIES if not paper_covers(f, args.m)]
     if args.format == "json":

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table, unit_inverses
-from .walsh import walsh_hadamard, zero_vector
+from .walsh import check_dimension, walsh_hadamard, zero_vector
 
 FAMILIES = (1, 2, 3)
 
@@ -53,6 +53,8 @@ class BinaryLinearCode(_Code):
     __slots__ = ()
 
     def __new__(cls, n: int, rows: Iterable[int]) -> BinaryLinearCode:
+        if type(n) is not int:  # True would be a length-1 code, and 3.0 fails in the shift below
+            raise TypeError(f"n must be an int, got {n!r}")
         top = 1 << n  # ValueError for a negative n
         rows = tuple(rows)  # a caller's list could change after the check
         for row in rows:
@@ -143,7 +145,12 @@ def slope_classes(ctx: GF2m, family: int) -> dict[FieldElement, list[tuple[Field
 
 
 def enumerate_defining_set(ctx: GF2m, family: int) -> DefiningSet:
-    """All qualifying pairs in ascending (x, y) order, one product a*x and one row per x."""
+    """All qualifying pairs in ascending (x, y) order, one product a*x and one row per x.
+
+    The pairs are about q^2/2, with generator columns in F_2^(2m): refused
+    beyond the transform guard before any is listed.
+    """
+    check_dimension(2 * ctx.m)
     tr = trace_table(ctx)
     pairs = []
     for x in ctx.units():

@@ -62,6 +62,8 @@ class OmegaSet(_PointSet):
     __slots__ = ()
 
     def __new__(cls, ambient_dim: int, vectors: Iterable[int], include_zero: bool) -> OmegaSet:
+        if type(ambient_dim) is not int:  # True would pass as dimension 1
+            raise TypeError(f"ambient dimension must be an int, got {ambient_dim!r}")
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)

@@ -56,6 +56,10 @@ def test_pless_dual_counts_examples():
 def test_pless_rejects_bad_total():
     with pytest.raises(ValueError):
         pless_dual_counts({0: 1, 2: 2}, n=4, k=2)
+    # True passes as 1, and {0: 1, 1: 1} would solve to DualCounts(0, 0)
+    for n, k in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
+        with pytest.raises(TypeError, match="n and k must be ints"):
+            pless_dual_counts({0: 1, 1: 1}, n, k)
 
 
 def test_pless_rejects_inconsistent_distribution():

@@ -127,18 +127,19 @@ def test_charsums_output_matches_the_per_record_rendering(capsys, monkeypatch):
                 assert (rc, err) == (0, ""), (m, poly, fmt)
                 assert out == charsums_output(ctx, fmt), (m, poly, fmt)
     # a wrong closed form at a = 1 (no rule there has a b = 0 case at m = 3)
-    # shows as 4 sums x 8 b mismatches in both renderings
-    rule, wrong = charsums.case_rule, charsums.CharSumValue((1,), "wrong")
+    # shows as 4 sums x 8 b mismatches in both renderings; a % in its label is printed as is
+    rule = charsums.case_rule
+    for wrong in (charsums.CharSumValue((1,), "wrong"), charsums.CharSumValue((1,), "wrong, 100% {off}")):
 
-    def wrong_at_one(ctx, family, a):
-        return rule(ctx, family, a)._replace(by_bit=(wrong, wrong)) if a == 1 else rule(ctx, family, a)
+        def wrong_at_one(ctx, family, a):
+            return rule(ctx, family, a)._replace(by_bit=(wrong, wrong)) if a == 1 else rule(ctx, family, a)
 
-    monkeypatch.setattr(charsums, "case_rule", wrong_at_one)
-    for fmt in ("json", "text"):
-        rc, out, _ = run(capsys, "charsums", "--m", "3", "--format", fmt)
-        assert rc == 1
-        assert out == charsums_output(field.GF2m(3, largest_irreducible(3)), fmt), fmt
-        assert out.count("MISMATCH" if fmt == "text" else '"match": false') == 4 * 8
+        monkeypatch.setattr(charsums, "case_rule", wrong_at_one)
+        for fmt in ("json", "text"):
+            rc, out, _ = run(capsys, "charsums", "--m", "3", "--format", fmt)
+            assert rc == 1
+            assert out == charsums_output(field.GF2m(3, largest_irreducible(3)), fmt), (wrong, fmt)
+            assert out.count("MISMATCH" if fmt == "text" else '"match": false') == 4 * 8
 
 
 def test_cli_loads_only_the_modules_a_subcommand_runs():

@@ -243,6 +243,10 @@ def test_binary_linear_code_refuses_rows_it_cannot_represent():
         BinaryLinearCode(n=-1, rows=())
     with pytest.raises(ValueError, match="outside"):
         BinaryLinearCode(n=3, rows=(0b011,))._replace(n=1)
+    # True would be a length-1 code; a float fails in the shift with an unrelated message
+    for n in (True, 3.0, 2.0):
+        with pytest.raises(TypeError, match="n must be an int"):
+            BinaryLinearCode(n, [1])
     assert weight_distribution(BinaryLinearCode(n=3, rows=(0b111,))) == {0: 1, 3: 1}
 
 

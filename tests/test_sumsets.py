@@ -85,6 +85,10 @@ def test_omega_set_validation():
     # a float passes the range checks, then fails inside the transform
     with pytest.raises(TypeError):
         OmegaSet(2, [1.0], False)
+    # True would pass as dimension 1; 2.0 fails in a shift with an unrelated message
+    for dim in (True, 2.0):
+        with pytest.raises(TypeError, match="ambient dimension must be an int"):
+            OmegaSet(dim, [1], False)
     # True would be taken as s = 1: counted by `representation_counts`, refused as s = 1 by the others
     for s in (3.0, True):
         for call in (check_sum_set, representation_counts):
@@ -226,6 +230,17 @@ def test_xor_convolve_composes():
     assert xor_convolve(c2, c3) == representation_counts(omega, 5)
     with pytest.raises(ValueError):
         xor_convolve([1, 2], [1, 2, 3, 4])
+
+
+def test_defining_set_is_refused_before_it_is_listed():
+    # about q^2/2 pairs with columns in F_2^(2m): at m = 11, 2^21 pairs (230 MB)
+    ctx = GF2m(11)
+    for family in (1, 2, 3):
+        with pytest.raises(TooLargeError, match="dimension 22 exceeds transform guard 20"):
+            enumerate_defining_set(ctx, family)
+    for variant in sumsets.VARIANTS:
+        with pytest.raises(TooLargeError, match="dimension 22 exceeds transform guard 20"):
+            build_omega(ctx, 1, variant)
 
 
 def test_build_omega_family1_m2_sizes():
