@@ -16,13 +16,16 @@ from typing import NamedTuple
 from .codes import (
     BinaryLinearCode,
     WeightDistribution,
-    code_spectrum,
+    check_distribution,
+    column_spectrum,
     distinct_nonzero_columns,
     enumerate_defining_set,
+    generator_columns,
     generator_matrix,
     hyperplane_distribution,
     minimum_distance,
     paper_covers,
+    spectrum_distribution,
 )
 from .field import GF2m
 from .walsh import walsh_hadamard
@@ -43,6 +46,10 @@ def pless_dual_counts(wd: WeightDistribution, n: int, k: int) -> DualCounts:
     """
     if type(n) is not int or type(k) is not int:  # True passes as 1 and solves to DualCounts(0, 0)
         raise TypeError(f"n and k must be ints, got ({n!r}, {k!r})")
+    check_distribution(wd)
+    for w, c in wd.items():  # a weight above n or a negative count can still solve to counts
+        if not 0 <= w <= n or c < 0:
+            raise ValueError(f"weight {w} with count {c}: weights lie in 0..{n}, counts are not negative")
     total = sum(wd.values())
     if total != 1 << k:
         raise ValueError(f"distribution sums to {total}, expected {1 << k}")
@@ -66,14 +73,13 @@ def _solved_count(name: str, numerator: int, denominator: int) -> int:
 def is_projective(code: BinaryLinearCode) -> bool:
     """True iff generator columns are nonzero and pairwise distinct.
 
-    From the column counts N: N[0] = 0 and all N[c] <= 1.  Requires full row
-    rank, i.e. N^(u) = n (a zero codeword) at u = 0 only; columns of a
-    rank-deficient matrix do not determine the dual distance.
+    Requires full row rank, i.e. N^(u) = n (a zero codeword) at u = 0 only;
+    columns of a rank-deficient matrix do not determine the dual distance.
     """
-    spectrum = code_spectrum(code)
-    if spectrum.transform.count(spectrum.n) > 1:
-        raise ValueError(f"generator matrix is rank deficient (k={spectrum.k})")
-    return spectrum.counts[0] == 0 and max(spectrum.counts) <= 1
+    columns = generator_columns(code)
+    if column_spectrum(columns, code.k).count(code.n) > 1:
+        raise ValueError(f"generator matrix is rank deficient (k={code.k})")
+    return 0 not in columns and len(set(columns)) == code.n
 
 
 def griesmer_length(k: int, d: int) -> int:
@@ -102,6 +108,7 @@ def griesmer_classify(n: int, k: int, d: int) -> str:
 
 def ab_minimal(wd: WeightDistribution) -> bool:
     """Ashikhmin-Barg sufficient condition for a binary code: 2 wmin > wmax."""
+    check_distribution(wd)
     nonzero = [w for w in wd if w > 0]
     if not nonzero:
         raise ValueError("zero code has no nonzero weights")
@@ -116,6 +123,7 @@ def minimality_triples(wd: WeightDistribution) -> list[tuple[int, int, int]]:
     a triple is minimal.  The ratio condition 2 wmin > wmax rules out every
     triple.
     """
+    check_distribution(wd)
     weights = sorted(w for w, c in wd.items() if w and c)
     present = set(weights)
     return [
@@ -136,12 +144,12 @@ def is_minimal(code: BinaryLinearCode) -> bool:
     indicator of the class {u : w(u) = w}; one transform per class in a triple,
     after the one transform of the code's column counts.
     """
-    spectrum = code_spectrum(code)
-    triples = minimality_triples(spectrum.distribution())
+    t = column_spectrum(generator_columns(code), code.k)
+    triples = minimality_triples(spectrum_distribution(t))
     hat: dict[int, list[int]] = {}
     for w in {w for triple in triples for w in triple}:
-        value = spectrum.n - 2 * w  # N^(u) on the class
-        hat[w] = walsh_hadamard([1 if s == value else 0 for s in spectrum.transform])
+        value = code.n - 2 * w  # N^(u) on the class
+        hat[w] = walsh_hadamard([1 if s == value else 0 for s in t])
     return not any(
         sum(x * y * z for x, y, z in zip(hat[wi], hat[wj], hat[wk])) for wi, wj, wk in triples
     )

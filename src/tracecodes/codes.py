@@ -10,8 +10,8 @@ over the pairs and is a packed int (bit i = coordinate of pair i).  A
 family's weights come in O(q) from its character sums, each family sum
 counted over b from the size of its slope class alone, a class of more
 than two units refused (`hyperplane_distribution`); a lone code's come
-from the Walsh spectrum of its column counts, which `Spectrum` keeps for
-the projectivity and minimality verdicts too.
+from the Walsh spectrum of its column counts, one list that the rank
+and minimality verdicts read too.
 """
 
 from __future__ import annotations
@@ -35,6 +35,13 @@ def paper_covers(family: int, m: int) -> bool:
 
 # A weight distribution is the exact multiset map weight -> codeword count.
 WeightDistribution = dict[int, int]
+
+
+def check_distribution(wd: WeightDistribution) -> None:
+    """Refuse a weight or count that is not an int: True and 1.0 would pass as 1."""
+    for w, c in wd.items():
+        if type(w) is not int or type(c) is not int:
+            raise TypeError(f"weights and counts must be ints, got {w!r}: {c!r}")
 
 
 # One family's defining set: the pairs (x, y), x != 0, that satisfy its trace
@@ -212,54 +219,37 @@ def generator_columns(code: BinaryLinearCode) -> list[int]:
     return transpose(code.rows, code.n)
 
 
-class Spectrum(NamedTuple):
-    """Column counts N over F_2^k and their transform, indexed by message u.
-
-    transform[u] = N^(u) = n - 2 wt(u), so weights, projectivity and
-    minimality are all read from one transform.
-    """
-
-    n: int
-    k: int
-    counts: list[int]
-    transform: list[int]
-
-    def distribution(self) -> WeightDistribution:
-        """Exact counts over all 2^k messages, wt(u) = (n - N^(u)) / 2.
-
-        Codewords that a rank-deficient matrix repeats count once per message.
-        """
-        wd: WeightDistribution = {}
-        for value, count in Counter(self.transform).items():
-            weight, odd = divmod(self.n - value, 2)
-            if odd:
-                raise AssertionError(f"spectrum value {value} has the wrong parity for n = {self.n}")
-            wd[weight] = count
-        if sum(wd.values()) != 1 << self.k:
-            raise AssertionError(f"weight counts do not sum to 2^{self.k}")
-        return dict(sorted(wd.items()))
-
-
-def column_spectrum(columns: Sequence[int], k: int) -> Spectrum:
-    """Counts of the k-bit generator columns over F_2^k and their one transform."""
+def column_spectrum(columns: Sequence[int], k: int) -> list[int]:
+    """Transform of the k-bit columns' counts over F_2^k: t[u] = N^(u) = n - 2 wt(u), n = t[0]."""
     counts = zero_vector(k)
     for c in columns:
         counts[c] += 1
-    return Spectrum(n=len(columns), k=k, counts=counts, transform=walsh_hadamard(counts))
+    return walsh_hadamard(counts)
 
 
-def code_spectrum(code: BinaryLinearCode) -> Spectrum:
-    """The generator-column counts of `code` and their one transform."""
-    return column_spectrum(generator_columns(code), code.k)
+def spectrum_distribution(t: Sequence[int]) -> WeightDistribution:
+    """Exact counts over all len(t) messages, wt(u) = (n - N^(u)) / 2 with n = t[0].
+
+    Codewords that a rank-deficient matrix repeats count once per message.
+    """
+    n = t[0]
+    wd: WeightDistribution = {}
+    for value, count in Counter(t).items():
+        weight, odd = divmod(n - value, 2)
+        if odd:
+            raise AssertionError(f"spectrum value {value} has the wrong parity for n = {n}")
+        wd[weight] = count
+    return dict(sorted(wd.items()))
 
 
 def weight_distribution(code: BinaryLinearCode) -> WeightDistribution:
-    """Exact counts over all 2^k messages; see `Spectrum.distribution`."""
-    return code_spectrum(code).distribution()
+    """Exact counts over all 2^k messages; see `spectrum_distribution`."""
+    return spectrum_distribution(column_spectrum(generator_columns(code), code.k))
 
 
 def minimum_distance(wd: WeightDistribution) -> int:
     """Smallest nonzero weight with positive multiplicity."""
+    check_distribution(wd)
     nonzero = [w for w, c in wd.items() if w > 0 and c > 0]
     if not nonzero:
         raise ValueError("zero code has no minimum distance")

@@ -53,7 +53,7 @@ def poly_mod(a: int, b: int) -> int:
 
 def is_irreducible(poly: int) -> bool:
     """Trial division by every polynomial of degree 1..m//2, m = deg(poly); m must be in 2..16."""
-    if not isinstance(poly, int):  # a float or str has no degree to read
+    if type(poly) is not int:  # a float or str has no degree to read, and True would be degree 0
         raise TypeError(f"polynomial must be an int, got {poly!r}")
     m = poly.bit_length() - 1
     if poly < 0 or not MIN_DEGREE <= m <= MAX_DEGREE:  # poly_mod never terminates on a negative poly
@@ -82,7 +82,7 @@ class GF2m(_Field):
     __slots__ = ()
 
     def __new__(cls, m: int, poly: int = 0) -> GF2m:
-        if not isinstance(m, int) or not isinstance(poly, int):  # 3.0 would pass the range checks
+        if type(m) is not int or type(poly) is not int:  # 3.0 would pass the range checks, False as 0
             raise TypeError(f"field degree and polynomial must be ints, got {m!r} and {poly!r}")
         if not MIN_DEGREE <= m <= MAX_DEGREE:
             raise ValueError(f"field degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {m}")

@@ -146,7 +146,7 @@ def representation_counts(omega: OmegaSet, s: int) -> list[int]:
     _check_power_cost(s, omega.size, omega.ambient_dim, 1 << omega.ambient_dim, "2^K")
     zero = int(omega.include_zero)
     # only the transform is kept, so the count vector is freed before the inverse
-    spectrum = column_spectrum(omega.vectors, omega.ambient_dim).transform
+    spectrum = column_spectrum(omega.vectors, omega.ambient_dim)
     powers = {t: (t + zero) ** s for t in set(spectrum)}  # equal entries share one power
     back = walsh_hadamard([powers[t] for t in spectrum])
     if any(g & ((1 << omega.ambient_dim) - 1) for g in back):
@@ -211,7 +211,7 @@ def check_sum_set(omega: OmegaSet, s: int) -> SumSetReport:
     members = len(omega.vectors)
     values = min(1 << omega.ambient_dim, members + 1)
     _check_power_cost(s, omega.size, omega.ambient_dim, values, "min(2^K, |set minus 0| + 1)")
-    spectrum = column_spectrum(omega.vectors, omega.ambient_dim).transform
+    spectrum = column_spectrum(omega.vectors, omega.ambient_dim)
     histogram = Counter(itertools.islice(spectrum, 1, None))  # over u != 0
     counted = CountedSet(omega.ambient_dim, members, histogram)
     return _counted_report(counted, s, omega.include_zero)

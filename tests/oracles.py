@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 from tracecodes.codes import (
     BinaryLinearCode,
     DefiningSet,
-    Spectrum,
     WeightDistribution,
     column_spectrum,
     defining_columns,
@@ -47,9 +46,9 @@ def family_code(family: int, m: int, poly: int = 0) -> BinaryLinearCode:
     return generator_matrix(ctx, enumerate_defining_set(ctx, family))
 
 
-def family_spectrum(ctx: GF2m, family: int) -> Spectrum:
+def family_spectrum(ctx: GF2m, family: int) -> list[int]:
     """The transform of the defining set's column counts, the oracle behind
-    `hyperplane_distribution`."""
+    `hyperplane_distribution`: n = t[0] and weights `spectrum_distribution(t)`."""
     return column_spectrum(defining_columns(ctx, enumerate_defining_set(ctx, family)), 2 * ctx.m)
 
 

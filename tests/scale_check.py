@@ -11,7 +11,8 @@ odd m = 7..15 counted from their vote cells.
 Asserts each report is ok, that the report under every irreducible
 polynomial equals the one under the default polynomial, at m = 9 and 10
 that the per-x hyperplane counts agree with the transform of the defining
-set's column counts, and that every sweep record matches its closed form.
+set's column counts and that those columns are nonzero and pairwise
+distinct, and that every sweep record matches its closed form.
 Under every irreducible polynomial the sweep's record counts per (sum, case)
 and the `paper_column_counts` set (family 1, and family 2 at odd m) equal
 the default polynomial's: these read the slope classes and the trace of
@@ -45,11 +46,19 @@ from typing import Iterator
 
 from collections import Counter
 
-from oracles import family_spectrum, irreducibles, sum_set_report_from_counts
+from oracles import irreducibles, sum_set_report_from_counts
 from tracecodes import codes, sumsets
 from tracecodes.analysis import verify
 from tracecodes.charsums import conformance_sweep
-from tracecodes.codes import hyperplane_distribution, paper_covers, slope_classes
+from tracecodes.codes import (
+    column_spectrum,
+    defining_columns,
+    enumerate_defining_set,
+    hyperplane_distribution,
+    paper_covers,
+    slope_classes,
+    spectrum_distribution,
+)
 from tracecodes.field import GF2m, trace_table, unit_inverses
 from tracecodes.sumsets import (
     build_omega,
@@ -244,10 +253,13 @@ def main() -> None:
         if m in SPECTRUM_DEGREES:
             ctx = GF2m(m)
             for family in FAMILIES:
-                spectrum = family_spectrum(ctx, family)
+                columns = defining_columns(ctx, enumerate_defining_set(ctx, family))
+                t = column_spectrum(columns, 2 * m)
                 got = hyperplane_distribution(ctx, family)
-                assert got == (spectrum.n, spectrum.distribution()), (family, m)
-            print(f"m={m}: hyperplane counts == column spectrum for families 1-3", flush=True)
+                assert got == (t[0], spectrum_distribution(t)), (family, m)
+                # the column half of projectivity `verify` reads from trace_coordinates
+                assert 0 not in columns and len(set(columns)) == len(columns), (family, m)
+            print(f"m={m}: hyperplane counts == column spectrum, distinct nonzero columns", flush=True)
 
 
 if __name__ == "__main__":

@@ -60,6 +60,10 @@ def test_pless_rejects_bad_total():
     for n, k in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
         with pytest.raises(TypeError, match="n and k must be ints"):
             pless_dual_counts({0: 1, 1: 1}, n, k)
+    # a float weight or count solves to float counts, DualCounts(0.0, 0.0)
+    for wd in ({0: 1, 1.0: 1}, {0: 1, 1: 1.0}, {0: 1, True: 1}):
+        with pytest.raises(TypeError, match="weights and counts must be ints"):
+            pless_dual_counts(wd, 1, 1)
 
 
 def test_pless_rejects_inconsistent_distribution():
@@ -69,6 +73,11 @@ def test_pless_rejects_inconsistent_distribution():
     # fractional solution
     with pytest.raises(ValueError):
         pless_dual_counts({0: 1, 1: 3}, n=1, k=2)
+    # each sums to 2^k and solves to counts: DualCounts(2, 2) with A1 > n,
+    # DualCounts(0, 2) from a weight above n and DualCounts(4, 1) from a negative count
+    for wd, n, k in (({0: 1, -1: 1}, 1, 1), ({0: 2, 1: 1, 3: 1}, 2, 2), ({0: 3, 2: -1}, 2, 1)):
+        with pytest.raises(ValueError, match="weights lie in"):
+            pless_dual_counts(wd, n, k)
 
 
 def random_distributions(rng: random.Random, count: int):
@@ -225,6 +234,11 @@ def test_ab_minimal():
     assert not ab_minimal({0: 1, 8: 6, 12: 48, 16: 9})
     with pytest.raises(ValueError):
         ab_minimal({0: 1})
+    # 2 * 1.5 > 2 would call the weights minimal, and (1.0, 1.0, 2.0) would be a triple
+    for wd in ({0: 1, 1.5: 1, 2: 1}, {0: 1, 1.0: 1, 2: 1}, {0: 1, 2: 1, 3: 1.0}):
+        for verdict in (ab_minimal, minimality_triples):
+            with pytest.raises(TypeError, match="weights and counts must be ints"):
+                verdict(wd)
 
 
 def test_brute_minimal():

@@ -20,9 +20,10 @@ PUBLIC = """
 
 # brute-force oracles that live in tests/oracles.py, and deleted dead code
 NOT_IN_PACKAGE = """
-    BRUTE_MINIMAL_MAX_DIM CoefficientSets _nonzero_spectrum _spectrum_memo brute_minimal
-    char_sum_table code_column_sum_sets codeword coefficient_sets distribution_json_dict dual_code
-    family_char_sum matrix_rank membership_element paper_column_sum_sets plain_char_sum
+    BRUTE_MINIMAL_MAX_DIM CoefficientSets Spectrum _nonzero_spectrum _spectrum_memo brute_minimal
+    char_sum_table code_column_sum_sets code_spectrum codeword coefficient_sets
+    distribution_json_dict dual_code family_char_sum matrix_rank membership_element
+    paper_column_sum_sets plain_char_sum
     reciprocal_quadratic_roots reciprocal_sums representation_counts_by_convolution
     representation_counts_naive row_reduce sum_set_witness symmetric_three_weight trace_pair_count
     xor_convolve

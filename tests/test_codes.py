@@ -27,7 +27,7 @@ from tracecodes.analysis import verify
 import tracecodes.codes as codes_module
 from tracecodes.codes import (
     BinaryLinearCode,
-    code_spectrum,
+    column_spectrum,
     defining_columns,
     enumerate_defining_set,
     generator_columns,
@@ -38,10 +38,12 @@ from tracecodes.codes import (
     sign_sum_counts,
     slope_classes,
     slope_form,
+    spectrum_distribution,
     weight_distribution,
 )
 from tracecodes.field import GF2m, trace_coordinates
 from tracecodes.sumsets import code_column_counts
+from tracecodes.walsh import walsh_hadamard
 
 # exact distributions, checked against the closed forms elsewhere
 TABLE_ROWS = {
@@ -301,11 +303,12 @@ def test_hyperplane_distribution_matches_spectrum_route():
         for poly in polys:
             ctx = GF2m(m, poly)
             for family in (1, 2, 3):
-                spectrum = family_spectrum(ctx, family)
+                t = family_spectrum(ctx, family)
                 got = hyperplane_distribution(ctx, family)
-                assert got == (spectrum.n, spectrum.distribution()), (family, m, poly)
+                assert got == (t[0], spectrum_distribution(t)), (family, m, poly)
                 # the column half of projectivity `verify` reads from trace_coordinates
-                assert spectrum.counts[0] == 0 and max(spectrum.counts) <= 1, (family, m, poly)
+                counts = Counter(defining_columns(ctx, enumerate_defining_set(ctx, family)))
+                assert 0 not in counts and max(counts.values()) == 1, (family, m, poly)
                 assert len(set(trace_coordinates(ctx))) == ctx.size
 
 
@@ -342,8 +345,8 @@ def test_hyperplane_distribution_is_generic_over_the_membership_form(monkeypatch
             units[a] += 1
             forms[x] = (a, rng.randrange(ctx.size))
         monkeypatch.setattr(codes_module, "slope_form", slope_form_of(forms))
-        spectrum = family_spectrum(ctx, 1)
-        assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), trial
+        t = family_spectrum(ctx, 1)
+        assert hyperplane_distribution(ctx, 1) == (t[0], spectrum_distribution(t)), trial
 
 
 def test_hyperplane_distribution_matches_every_slope_form_at_m2(monkeypatch):
@@ -357,8 +360,8 @@ def test_hyperplane_distribution_matches_every_slope_form_at_m2(monkeypatch):
         if len({a for a, _ in picks}) == 1:
             continue
         monkeypatch.setattr(codes_module, "slope_form", slope_form_of(dict(zip(ctx.units(), picks))))
-        spectrum = family_spectrum(ctx, 1)
-        assert hyperplane_distribution(ctx, 1) == (spectrum.n, spectrum.distribution()), picks
+        t = family_spectrum(ctx, 1)
+        assert hyperplane_distribution(ctx, 1) == (t[0], spectrum_distribution(t)), picks
         checked += 1
     assert checked == 480
 
@@ -410,9 +413,16 @@ def test_generator_columns_and_counts():
     for code in codes:
         cols = generator_columns(code)
         assert cols == bitwise_columns(code)
-        counts = code_spectrum(code).counts
-        assert len(counts) == 1 << code.k
-        assert all(counts[c] == cols.count(c) for c in range(1 << code.k))
+        counts = [cols.count(c) for c in range(1 << code.k)]
+        assert column_spectrum(cols, code.k) == walsh_hadamard(counts)
+
+
+def test_spectrum_distribution_refuses_the_wrong_parity():
+    # every N^(u) = n - 2 wt(u) has the parity of n = t[0]
+    assert spectrum_distribution([3, 1]) == {0: 1, 1: 1}
+    for t in ([3, 2], [2, 2, 1, 0]):
+        with pytest.raises(AssertionError, match="wrong parity"):
+            spectrum_distribution(t)
 
 
 def test_weight_distribution_guard():
@@ -442,6 +452,10 @@ def test_minimum_distance():
     assert minimum_distance(TABLE_ROWS[(3, 2)]) == 3
     with pytest.raises(ValueError):
         minimum_distance({0: 1})
+    # True would pass as weight 1, and 1.0 or a count of 1.0 would be returned as it is
+    for wd in ({0: 1, True: 1}, {0: 1, 1.0: 1}, {0: 1, 2: 1.0}):
+        with pytest.raises(TypeError, match="weights and counts must be ints"):
+            minimum_distance(wd)
 
 
 def test_matrix_text_layout():

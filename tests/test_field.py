@@ -61,8 +61,9 @@ def test_constructor_defaults_and_validation():
     with pytest.raises(ValueError):
         GF2m(3, 0b111)  # degree 2 polynomial for m=3
     # a float degree would pass the range checks and fail at its first .size
-    for args in ((3.0,), (3, 11.0), ("3",), (3, "11"), (None,)):
-        with pytest.raises(TypeError):
+    # False would pass as the default polynomial, True as degree 1 or a degree-0 polynomial
+    for args in ((3.0,), (3, 11.0), ("3",), (3, "11"), (None,), (3, False), (True,), (3, True)):
+        with pytest.raises(TypeError, match="must be ints"):
             GF2m(*args)
     for poly in (-11, -9, -3):  # -11 and -9 have bit_length 4, as a degree-3 poly would
         with pytest.raises(ValueError):
@@ -79,8 +80,8 @@ def test_is_irreducible_reads_the_degree_and_refuses_unsupported_ones():
     for poly in (-0b10011, 0, 1, 0b11, (1 << 17) | 0b1001, (1 << 127) | 0b11, 1 << 100000):
         with pytest.raises(ValueError):
             is_irreducible(poly)
-    for poly in (7.0, "7"):
-        with pytest.raises(TypeError):
+    for poly in (7.0, "7", True, False):
+        with pytest.raises(TypeError, match="polynomial must be an int"):
             is_irreducible(poly)
 
 
