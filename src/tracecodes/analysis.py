@@ -17,6 +17,7 @@ from .codes import (
     BinaryLinearCode,
     WeightDistribution,
     check_distribution,
+    check_family,
     column_spectrum,
     distinct_nonzero_columns,
     enumerate_defining_set,
@@ -27,7 +28,7 @@ from .codes import (
     paper_covers,
     spectrum_distribution,
 )
-from .field import GF2m
+from .field import GF2m, check_ints
 from .walsh import walsh_hadamard
 
 class DualCounts(NamedTuple):
@@ -44,8 +45,7 @@ def pless_dual_counts(wd: WeightDistribution, n: int, k: int) -> DualCounts:
     the first two binary Pless identities.  A non-integral or negative
     solution means the distribution is not that of a binary [n, k] code.
     """
-    if type(n) is not int or type(k) is not int:  # True passes as 1 and solves to DualCounts(0, 0)
-        raise TypeError(f"n and k must be ints, got ({n!r}, {k!r})")
+    check_ints(n=n, k=k)
     check_distribution(wd)
     for w, c in wd.items():  # a weight above n or a negative count can still solve to counts
         if not 0 <= w <= n or c < 0:
@@ -95,8 +95,7 @@ def griesmer_classify(n: int, k: int, d: int) -> str:
     Optimal here means no binary [n, k, d+1] code passes the Griesmer bound;
     almost-optimal means no [n, k, d+2] code does.
     """
-    if type(n) is not int or type(k) is not int or type(d) is not int:  # True and 8.0 pass the checks
-        raise TypeError(f"parameters must be ints, got ({n!r}, {k!r}, {d!r})")
+    check_ints(n=n, k=k, d=d)
     if min(k, d) < 1 or n < griesmer_length(k, d):  # n < 1 fails the second test
         raise ValueError(f"no binary [{n}, {k}, {d}] code: k and d must be positive, n at least g(k, d)")
     if griesmer_length(k, d + 1) > n:
@@ -157,8 +156,8 @@ def is_minimal(code: BinaryLinearCode) -> bool:
 
 def closed_form_distribution(family: int, m: int) -> WeightDistribution:
     """Predicted weight distribution of the family's code, including weight 0."""
-    if type(family) is not int or type(m) is not int:  # True and 2.0 would pass as families 1 and 2
-        raise TypeError(f"family and m must be ints, got {family!r} and {m!r}")
+    check_ints(m=m)
+    check_family(family, m)
     if m < 2:
         raise ValueError("m must be at least 2")
     h = 1 << (m - 1)  # 2^(m-1)
@@ -169,8 +168,6 @@ def closed_form_distribution(family: int, m: int) -> WeightDistribution:
             h * h: 3 * h * h - 1,
             h * (h + 1): (h // 2) * (h + 1),
         }
-    if not paper_covers(family, m):
-        raise ValueError("family-2 closed form is stated for odd m only")
     if family == 2:
         return {
             0: 1,
@@ -178,15 +175,13 @@ def closed_form_distribution(family: int, m: int) -> WeightDistribution:
             h * (h - 1): 3 * h * h,
             h * h: (h // 2) * (h + 1) - 1,
         }
-    if family == 3:
-        return {
-            0: 1,
-            (h // 2) * (2 * h - 1): 2 * h * (h - 1),
-            h * h: 2 * h + h - 1,
-            (h // 2) * (2 * h + 1): 2 * h * (h - 1),
-            h * (h + 1): h,
-        }
-    raise ValueError(f"family must be 1, 2 or 3, got {family}")
+    return {
+        0: 1,
+        (h // 2) * (2 * h - 1): 2 * h * (h - 1),
+        h * h: 2 * h + h - 1,
+        (h // 2) * (2 * h + 1): 2 * h * (h - 1),
+        h * (h + 1): h,
+    }
 
 
 class VerificationReport(NamedTuple):
@@ -236,8 +231,7 @@ def verify(family: int, m: int, poly: int = 0) -> VerificationReport:
     own; the comparison is against the family-1 table, which is the claimed
     coincidence, and a note records that reading.
     """
-    if type(family) is not int:  # True and 2.0 would pass as families 1 and 2, and be reported
-        raise TypeError(f"family must be an int, got {family!r}")
+    check_family(family)
     ctx = GF2m(m, poly)
     n, wd = hyperplane_distribution(ctx, family)
     k = 2 * m

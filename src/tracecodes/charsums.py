@@ -20,8 +20,8 @@ from __future__ import annotations
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .codes import FAMILIES, paper_covers, slope_classes
-from .field import FieldElement, GF2m, mul_row, trace_table, unit_inverses
+from .codes import FAMILIES, check_family, paper_covers, slope_classes
+from .field import FieldElement, GF2m, check_ints, mul_row, trace_table, unit_inverses
 
 
 class CharSumValue(NamedTuple):
@@ -90,10 +90,7 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
     q = ctx.size
     if family is None:
         return _constant(CharSumValue((-q,), "a=0, b!=0") if a == 0 else CharSumValue((0,), "a!=0"))
-    if family not in FAMILIES:
-        raise ValueError(f"family must be 1, 2 or 3, got {family}")
-    if not paper_covers(family, ctx.m):
-        raise ValueError("family-2 closed form is stated for odd m only")
+    check_family(family, ctx.m)
     if a == 0:
         s = -q if family == 2 else q
         return CaseRule(
@@ -128,8 +125,7 @@ def case_rule(ctx: GF2m, family: int | None, a: FieldElement) -> CaseRule:
 
 
 def _require_nonzero_pair(ctx: GF2m, a: FieldElement, b: FieldElement) -> None:
-    if type(a) is not int or type(b) is not int:  # 1.0 and True would pass the range check
-        raise TypeError(f"(a, b) = ({a!r}, {b!r}) is not a pair of ints")
+    check_ints(a=a, b=b)
     if not (0 <= a < ctx.size and 0 <= b < ctx.size):
         raise ValueError(f"(a, b) = ({a}, {b}) is not a pair of elements of GF(2^{ctx.m})")
     if a == 0 and b == 0:
@@ -143,10 +139,8 @@ def plain_char_sum_closed(ctx: GF2m, a: FieldElement, b: FieldElement) -> CharSu
 
 def family_char_sum_closed(ctx: GF2m, family: int, a: FieldElement, b: FieldElement) -> CharSumValue:
     """Case table for the family sum; family 2 requires odd m."""
-    if family not in FAMILIES:  # `case_rule` reads None as the plain sum
-        raise ValueError(f"family must be 1, 2 or 3, got {family}")
-    if type(family) is not int:  # True and 1.0 equal members of FAMILIES
-        raise TypeError(f"family must be an int, got {family!r}")
+    if family is None:  # `case_rule` reads None as the plain sum
+        raise ValueError(f"family must be one of {FAMILIES}, got None")
     _require_nonzero_pair(ctx, a, b)
     return case_rule(ctx, family, a).value(ctx, b)
 

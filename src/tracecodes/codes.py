@@ -22,7 +22,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .field import FieldElement, GF2m, mul_row, trace_coordinates, trace_table, unit_inverses
+from .field import FieldElement, GF2m, check_ints, mul_row, trace_coordinates, trace_table, unit_inverses
 from .walsh import check_dimension, walsh_hadamard, zero_vector
 
 FAMILIES = (1, 2, 3)
@@ -33,15 +33,23 @@ def paper_covers(family: int, m: int) -> bool:
     return family != 2 or m % 2 == 1
 
 
+def check_family(family: int, m: int | None = None, among: tuple[int, ...] = FAMILIES) -> None:
+    """Refuse a family that is not an int in `among` or, given m, that the paper does not cover at m."""
+    check_ints(family=family)
+    if family not in among:
+        raise ValueError(f"family must be one of {among}, got {family}")
+    if m is not None and not paper_covers(family, m):
+        raise ValueError(f"family {family} is stated for odd m only, got m = {m}")
+
+
 # A weight distribution is the exact multiset map weight -> codeword count.
 WeightDistribution = dict[int, int]
 
 
 def check_distribution(wd: WeightDistribution) -> None:
-    """Refuse a weight or count that is not an int: True and 1.0 would pass as 1."""
+    """Refuse a weight or count that is not an int (`check_ints`)."""
     for w, c in wd.items():
-        if type(w) is not int or type(c) is not int:
-            raise TypeError(f"weights and counts must be ints, got {w!r}: {c!r}")
+        check_ints(weight=w, count=c)
 
 
 # One family's defining set: the pairs (x, y), x != 0, that satisfy its trace
@@ -60,13 +68,11 @@ class BinaryLinearCode(_Code):
     __slots__ = ()
 
     def __new__(cls, n: int, rows: Iterable[int]) -> BinaryLinearCode:
-        if type(n) is not int:  # True would be a length-1 code, and 3.0 fails in the shift below
-            raise TypeError(f"n must be an int, got {n!r}")
+        check_ints(n=n)
         top = 1 << n  # ValueError for a negative n
         rows = tuple(rows)  # a caller's list could change after the check
         for row in rows:
-            if not isinstance(row, int):  # 1.5 would pass the range check
-                raise TypeError(f"row {row!r} is not an int")
+            check_ints(row=row)
             if not 0 <= row < top:
                 raise ValueError(f"row {row} outside the {n}-bit range")
         return super().__new__(cls, n, rows)
@@ -86,13 +92,10 @@ def slope_form(ctx: GF2m, family: int, x: FieldElement) -> tuple[FieldElement, F
     The paper writes trace(u*y + c) with u = x^2 + 1 (families 1, 2) or x^2 + x
     (family 3), so a = u*x^-1 is x + x^-1 or x + 1; c is x for family 2, else 0.
     """
-    if type(family) is not int:  # True and 1.0 would pass as family 1
-        raise TypeError(f"family must be an int, got {family!r}")
-    if family in (1, 2):
-        return x ^ unit_inverses(ctx)[x], x if family == 2 else 0
+    check_family(family)
     if family == 3:
         return x ^ 1, 0
-    raise ValueError(f"family must be one of {FAMILIES}, got {family}")
+    return x ^ unit_inverses(ctx)[x], x if family == 2 else 0
 
 
 def hyperplane_distribution(ctx: GF2m, family: int) -> tuple[int, WeightDistribution]:

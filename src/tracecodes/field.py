@@ -44,6 +44,13 @@ MAX_DEGREE = 16
 CACHED_FIELDS = MAX_DEGREE - MIN_DEGREE + 1
 
 
+def check_ints(**named: object) -> None:
+    """Refuse each named value whose type is not exactly int: True and 3.0 would pass as 1 and 3."""
+    for name, value in named.items():
+        if type(value) is not int:
+            raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def poly_mod(a: int, b: int) -> int:
     """Remainder of carry-less division of polynomial a by polynomial b."""
     while a.bit_length() >= b.bit_length():
@@ -53,8 +60,7 @@ def poly_mod(a: int, b: int) -> int:
 
 def is_irreducible(poly: int) -> bool:
     """Trial division by every polynomial of degree 1..m//2, m = deg(poly); m must be in 2..16."""
-    if type(poly) is not int:  # a float or str has no degree to read, and True would be degree 0
-        raise TypeError(f"polynomial must be an int, got {poly!r}")
+    check_ints(poly=poly)
     m = poly.bit_length() - 1
     if poly < 0 or not MIN_DEGREE <= m <= MAX_DEGREE:  # poly_mod never terminates on a negative poly
         shown = "a negative int" if poly < 0 else f"degree {m}"  # a huge poly has too many digits to print
@@ -82,8 +88,7 @@ class GF2m(_Field):
     __slots__ = ()
 
     def __new__(cls, m: int, poly: int = 0) -> GF2m:
-        if type(m) is not int or type(poly) is not int:  # 3.0 would pass the range checks, False as 0
-            raise TypeError(f"field degree and polynomial must be ints, got {m!r} and {poly!r}")
+        check_ints(m=m, poly=poly)
         if not MIN_DEGREE <= m <= MAX_DEGREE:
             raise ValueError(f"field degree must be in {MIN_DEGREE}..{MAX_DEGREE}, got {m}")
         poly = poly or DEFAULT_POLYS[m]

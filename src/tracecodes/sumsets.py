@@ -31,16 +31,16 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 from .codes import (
+    check_family,
     column_spectrum,
     defining_columns,
     distinct_nonzero_columns,
     enumerate_defining_set,
     hyperplane_distribution,
-    paper_covers,
     sign_sum_counts,
     slope_form,
 )
-from .field import GF2m, mul_row, trace_coordinates
+from .field import GF2m, check_ints, mul_row, trace_coordinates
 from .walsh import TooLargeError, check_dimension, walsh_hadamard
 
 POWER_MAX_BITS = 1 << 28  # guard on the estimated size of the powered spectrum
@@ -62,8 +62,7 @@ class OmegaSet(_PointSet):
     __slots__ = ()
 
     def __new__(cls, ambient_dim: int, vectors: Iterable[int], include_zero: bool) -> OmegaSet:
-        if type(ambient_dim) is not int:  # True would pass as dimension 1
-            raise TypeError(f"ambient dimension must be an int, got {ambient_dim!r}")
+        check_ints(ambient_dim=ambient_dim)
         if ambient_dim < 1:
             raise ValueError("ambient dimension must be positive")
         check_dimension(ambient_dim)
@@ -72,8 +71,7 @@ class OmegaSet(_PointSet):
         vectors = frozenset(vectors)  # a caller's set could change after the check
         top = 1 << ambient_dim
         for v in vectors:
-            if not isinstance(v, int):  # 1.0 would pass the range check
-                raise TypeError(f"vector {v!r} is not an int")
+            check_ints(vector=v)
             if not 0 < v < top:
                 raise ValueError(f"vector {v} outside nonzero {ambient_dim}-bit range")
         return super().__new__(cls, ambient_dim, vectors, include_zero)
@@ -87,14 +85,7 @@ class OmegaSet(_PointSet):
         return len(self.vectors) + (1 if self.include_zero else 0)
 
     def with_zero(self, flag: bool) -> OmegaSet:
-        return self if flag == self.include_zero else self._replace(include_zero=flag)
-
-
-def _check_family(ctx: GF2m, family: int) -> None:
-    if family not in (1, 2):
-        raise ValueError("point sets are built for families 1 and 2 only")
-    if not paper_covers(family, ctx.m):
-        raise ValueError("family-2 point sets are built for odd m only")
+        return self if flag is self.include_zero else self._replace(include_zero=flag)
 
 
 def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
@@ -105,7 +96,7 @@ def build_omega(ctx: GF2m, family: int, variant: str) -> OmegaSet:
     code-column expands (x*y, x), which reproduces the distinct generator
     matrix columns.  Duplicates collapse; a zero image sets include_zero.
     """
-    _check_family(ctx, family)
+    check_family(family, ctx.m, (1, 2))
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     dset = enumerate_defining_set(ctx, family)
@@ -129,8 +120,7 @@ def _check_power_cost(s: int, size: int, dim: int, values: int, basis: str) -> N
 
     Each |T(u)^s| <= size^s, so each power takes at most s * bit_length(size) bits.
     """
-    if type(s) is not int:  # 3.0 and True would pass the range checks
-        raise TypeError(f"s must be an int, got {s!r}")
+    check_ints(s=s)
     if s < 1:
         raise ValueError("s must be at least 1")
     cost = values * s * size.bit_length()
@@ -191,8 +181,7 @@ def _power_line(powers: dict[int, int]) -> tuple[int, int] | None:
 
 
 def _check_odd_power(s: int) -> None:
-    if type(s) is not int:  # True would be refused as s = 1, not as a non-int
-        raise TypeError(f"s must be an int, got {s!r}")
+    check_ints(s=s)
     if s <= 1 or s % 2 == 0:
         raise ValueError("s must be odd and greater than 1")
 
@@ -235,7 +224,7 @@ def code_column_counts(ctx: GF2m, family: int) -> CountedSet:
     is {n - 2w: A_w} over the nonzero weights w of `hyperplane_distribution`,
     in O(q); AssertionError if either condition fails.
     """
-    _check_family(ctx, family)
+    check_family(family, ctx.m, (1, 2))
     n, wd = hyperplane_distribution(ctx, family)
     if wd.get(0) != 1:
         raise AssertionError(f"family {family} code at m = {ctx.m} is rank deficient")
@@ -270,7 +259,7 @@ def paper_column_counts(ctx: GF2m, family: int) -> CountedSet:
       x votes with sign (-1)^trace(gamma x) times a constant, so t = (q/2) f
       with f counted over gamma by `sign_sum_counts`.
     """
-    _check_family(ctx, family)
+    check_family(family, ctx.m, (1, 2))
     if not distinct_nonzero_columns(ctx):
         raise AssertionError(f"trace coordinates at m = {ctx.m} are not a bijection")
     for x in ctx.units():

@@ -57,12 +57,12 @@ def test_pless_rejects_bad_total():
     with pytest.raises(ValueError):
         pless_dual_counts({0: 1, 2: 2}, n=4, k=2)
     # True passes as 1, and {0: 1, 1: 1} would solve to DualCounts(0, 0)
-    for n, k in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
-        with pytest.raises(TypeError, match="n and k must be ints"):
+    for n, k, name in ((True, 1, "n"), (1, True, "k"), (1.0, 1, "n"), (1, 1.0, "k")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
             pless_dual_counts({0: 1, 1: 1}, n, k)
     # a float weight or count solves to float counts, DualCounts(0.0, 0.0)
-    for wd in ({0: 1, 1.0: 1}, {0: 1, 1: 1.0}, {0: 1, True: 1}):
-        with pytest.raises(TypeError, match="weights and counts must be ints"):
+    for wd, name in (({0: 1, 1.0: 1}, "weight"), ({0: 1, 1: 1.0}, "count"), ({0: 1, True: 1}, "weight")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
             pless_dual_counts(wd, 1, 1)
 
 
@@ -235,9 +235,13 @@ def test_ab_minimal():
     with pytest.raises(ValueError):
         ab_minimal({0: 1})
     # 2 * 1.5 > 2 would call the weights minimal, and (1.0, 1.0, 2.0) would be a triple
-    for wd in ({0: 1, 1.5: 1, 2: 1}, {0: 1, 1.0: 1, 2: 1}, {0: 1, 2: 1, 3: 1.0}):
+    for wd, name in (
+        ({0: 1, 1.5: 1, 2: 1}, "weight"),
+        ({0: 1, 1.0: 1, 2: 1}, "weight"),
+        ({0: 1, 2: 1, 3: 1.0}, "count"),
+    ):
         for verdict in (ab_minimal, minimality_triples):
-            with pytest.raises(TypeError, match="weights and counts must be ints"):
+            with pytest.raises(TypeError, match=f"^{name} must be an int"):
                 verdict(wd)
 
 

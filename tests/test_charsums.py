@@ -120,6 +120,10 @@ def test_closed_forms_reject_zero_pair():
     # check and return a value; True equals 1 and is in FAMILIES
     with pytest.raises(TypeError):
         family_char_sum_closed(ctx, True, 1, 1)
+    # `case_rule` itself, which would give family 1's rule for either
+    for family in (True, 1.0):
+        with pytest.raises(TypeError, match="family must be an int"):
+            case_rule(ctx, family, 1)
     for a, b in ((1.0, 0), (0, 1.0), (True, False), (1, True)):
         with pytest.raises(TypeError):
             plain_char_sum_closed(ctx, a, b)

@@ -318,6 +318,40 @@ def test_verify_and_sweep_output_pinned_at_small_m(capsys):
         assert hashlib.sha256(f"{rc}\n{out}\n{err}\n".encode()).hexdigest() == digest, argv
 
 
+# sha256 over (exit code, stdout, stderr) of each invocation of the benchmark's
+# two workloads (perfbench/workloads.py) and of the even-m `sumset` refusal,
+# hashed as for `sumset` above, recorded before `field.check_ints` and
+# `codes.check_family` replaced the hand-written argument checks
+BENCHMARK_SHA256 = {
+    "verify --family 1 --m 8 --format text": "259b00c26131b45a0b96163a21c7121bb304e0316315daa58ae63deb3e3576e1",
+    "verify --family 1 --m 8 --format json": "9840aad10434bcd83e43518b1ca723ffa16fea9fcb203dd3f6bc88c41ae7b5c6",
+    "verify --family 2 --m 8 --format text": "ef988748270ba33f009829f1bb374c2332001562ad59ca944457fdeb341997eb",
+    "verify --family 2 --m 8 --format json": "cb38217138a30d5626c1de4b48ebce3e4e08d2de2d1891fbf6f5214ccdb7f56b",
+    "verify --family 3 --m 8 --format text": "f05aecd25b842f02ec50294d8a23756c2843912c44d3d3e0cc7515a6c2314e1a",
+    "verify --family 3 --m 8 --format json": "4ea61941c6c4e6304d6a3fc1508e8f83ded94b0f077d5e090076d38e1d3bbd4f",
+    "sweep --max-m 7 --format text": "5d388363a769164622f61389eb9ed0efc06a94b52e9c7656e51a1dcac3c22fba",
+    "sweep --max-m 7 --format json": "5a44dd9101bc53ee3366fb5446330e7b6855c3e4864ba642455200c9e0dd1d73",
+    "charsums --m 6 --format text": "53b076bccd3c911d7fb1ab8d5b8b49341f0dc87256e3378d884f4d510313ce3f",
+    "charsums --m 6 --format json": "1bc15838a3c11a0182d3879ad322c47d40fbf32168051eca04b2b614493534b1",
+    "sumset --family 1 --m 8 --s 3 --format text": "70771706341daccc78f412824e5c530d9b1c7b13abfa617e4794ded348e0299d",
+    "sumset --family 1 --m 8 --s 3 --format json": "1f0e56fde7fa04134876b17a54f2c4f6ac82acd4f14f4c723211dad719190624",
+    "sumset --family 1 --m 8 --s 7 --format text": "826fe962a63e8a7a3991f62dfe34fe300c66f3b40a5eaf965e78b16624f87d55",
+    "sumset --family 1 --m 8 --s 7 --format json": "e7dc332692009005140b74376278c98ad17ca02bfa97333d67a6336d9905091f",
+    "sumset --family 2 --m 5 --s 3 --format text": "310c88d86288e7e4c47423100179e79c6f5b6cbfc5ba1a007fb1c14e56f6dc78",
+    "sumset --family 2 --m 5 --s 3 --format json": "9f1da0b80de72c780b531c37b19ea6d85bc7aee2967224b8d30f5102d28074a3",
+    "sumset --family 2 --m 5 --s 7 --format text": "4157835b1360dd5f4dd3228f840637ed8fa62d1e1a3f4b157373bb86bd486239",
+    "sumset --family 2 --m 5 --s 7 --format json": "4b8698a7dd634162cb1a44cdf6eca4d2c80a4a43cafc5d84c2b72fa94002709f",
+    "sumset --family 2 --m 4 --format text": "d71215b4760f59cefb3281453d628e2baa971266fd45c181106d73d3bdf13fe4",
+    "sumset --family 2 --m 4 --format json": "d71215b4760f59cefb3281453d628e2baa971266fd45c181106d73d3bdf13fe4",
+}
+
+
+def test_benchmark_invocations_output_pinned(capsys):
+    for argv, digest in BENCHMARK_SHA256.items():
+        rc, out, err = run(capsys, *argv.split())
+        assert hashlib.sha256(f"{rc}\n{out}\n{err}\n".encode()).hexdigest() == digest, argv
+
+
 def sumset_verdicts(fmt: str, out: str) -> list[bool]:
     """Each reported set's is_sum_set, read off JSON or off the text lines."""
     if fmt == "json":

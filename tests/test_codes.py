@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from collections import Counter
 from math import comb
 
@@ -27,6 +28,7 @@ from tracecodes.analysis import verify
 import tracecodes.codes as codes_module
 from tracecodes.codes import (
     BinaryLinearCode,
+    check_family,
     column_spectrum,
     defining_columns,
     enumerate_defining_set,
@@ -90,6 +92,20 @@ def test_slope_form_times_x_is_the_paper_form():
             build(ctx, True)
     with pytest.raises(TypeError):
         slope_form(ctx, True, 1)
+
+
+def test_check_family_names_the_rule_it_refuses():
+    for family, m in ((1, 2), (2, 3), (3, 4), (2, None)):
+        check_family(family, m)
+    check_family(2, 5, (1, 2))
+    for family in (True, 1.0, None, "1"):
+        with pytest.raises(TypeError, match="^family must be an int"):
+            check_family(family)
+    for family, among in ((0, (1, 2, 3)), (4, (1, 2, 3)), (3, (1, 2))):
+        with pytest.raises(ValueError, match=f"^family must be one of {re.escape(str(among))}, got {family}$"):
+            check_family(family, 3, among)
+    with pytest.raises(ValueError, match="^family 2 is stated for odd m only, got m = 4$"):
+        check_family(2, 4, (1, 2))
 
 
 def test_defining_set_sizes():
@@ -249,6 +265,10 @@ def test_binary_linear_code_refuses_rows_it_cannot_represent():
     for n in (True, 3.0, 2.0):
         with pytest.raises(TypeError, match="n must be an int"):
             BinaryLinearCode(n, [1])
+    # a bool row would be stored as it is; a float would pass the range check
+    for row in (True, 1.5):
+        with pytest.raises(TypeError, match="row must be an int"):
+            BinaryLinearCode(2, [row])
     assert weight_distribution(BinaryLinearCode(n=3, rows=(0b111,))) == {0: 1, 3: 1}
 
 
@@ -453,8 +473,8 @@ def test_minimum_distance():
     with pytest.raises(ValueError):
         minimum_distance({0: 1})
     # True would pass as weight 1, and 1.0 or a count of 1.0 would be returned as it is
-    for wd in ({0: 1, True: 1}, {0: 1, 1.0: 1}, {0: 1, 2: 1.0}):
-        with pytest.raises(TypeError, match="weights and counts must be ints"):
+    for wd, name in (({0: 1, True: 1}, "weight"), ({0: 1, 1.0: 1}, "weight"), ({0: 1, 2: 1.0}, "count")):
+        with pytest.raises(TypeError, match=f"^{name} must be an int"):
             minimum_distance(wd)
 
 

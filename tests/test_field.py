@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from oracles import irreducibles, largest_irreducible
 from tracecodes.field import (
     DEFAULT_POLYS,
     GF2m,
+    check_ints,
     is_irreducible,
     mul_row,
     poly_mod,
@@ -63,13 +65,21 @@ def test_constructor_defaults_and_validation():
     # a float degree would pass the range checks and fail at its first .size
     # False would pass as the default polynomial, True as degree 1 or a degree-0 polynomial
     for args in ((3.0,), (3, 11.0), ("3",), (3, "11"), (None,), (3, False), (True,), (3, True)):
-        with pytest.raises(TypeError, match="must be ints"):
+        with pytest.raises(TypeError, match=f"^{'m' if len(args) == 1 else 'poly'} must be an int"):
             GF2m(*args)
     for poly in (-11, -9, -3):  # -11 and -9 have bit_length 4, as a degree-3 poly would
         with pytest.raises(ValueError):
             GF2m(3, poly)
         with pytest.raises(ValueError):
             is_irreducible(poly)
+
+
+def test_check_ints_names_each_value_that_is_not_exactly_an_int():
+    check_ints()
+    check_ints(m=3, poly=-11)
+    for value in (True, False, 3.0, "3", None):
+        with pytest.raises(TypeError, match=f"^k must be an int, got {re.escape(repr(value))}$"):
+            check_ints(n=3, k=value)
 
 
 def test_is_irreducible_reads_the_degree_and_refuses_unsupported_ones():
@@ -81,7 +91,7 @@ def test_is_irreducible_reads_the_degree_and_refuses_unsupported_ones():
         with pytest.raises(ValueError):
             is_irreducible(poly)
     for poly in (7.0, "7", True, False):
-        with pytest.raises(TypeError, match="polynomial must be an int"):
+        with pytest.raises(TypeError, match="^poly must be an int"):
             is_irreducible(poly)
 
 

@@ -85,9 +85,12 @@ def test_omega_set_validation():
     # a float passes the range checks, then fails inside the transform
     with pytest.raises(TypeError):
         OmegaSet(2, [1.0], False)
+    # a bool vector would be stored as it is, beside the int it equals
+    with pytest.raises(TypeError, match="vector must be an int"):
+        OmegaSet(2, [True, 2], False)
     # True would pass as dimension 1; 2.0 fails in a shift with an unrelated message
     for dim in (True, 2.0):
-        with pytest.raises(TypeError, match="ambient dimension must be an int"):
+        with pytest.raises(TypeError, match="^ambient_dim must be an int"):
             OmegaSet(dim, [1], False)
     # True would be taken as s = 1: counted by `representation_counts`, refused as s = 1 by the others
     for s in (3.0, True):
@@ -110,6 +113,10 @@ def test_omega_set_refuses_a_zero_flag_that_is_not_a_bool():
         omega._replace(include_zero=2)
     with pytest.raises(TypeError):
         omega.with_zero(2)
+    # a flag equal to the set's own, but not a bool, is refused too, not answered with the set
+    for include_zero, flag in ((True, 1), (True, 1.0), (False, 0), (False, 0.0)):
+        with pytest.raises(TypeError):
+            hand_set(3, (1,), include_zero=include_zero).with_zero(flag)
 
 
 def test_hand_case_all_nonzero_vectors_of_dim2():
